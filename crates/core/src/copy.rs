@@ -12,7 +12,7 @@ use netsim::makespan;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::Session;
 use pgmini::types::Row;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Name the failing shard and node in a COPY error so a multi-gigabyte load
@@ -82,8 +82,10 @@ pub fn distributed_copy(
                     )
                 })?
             };
-            // partition rows per bucket
-            let mut buckets: HashMap<usize, Vec<Row>> = HashMap::new();
+            // partition rows per bucket; batches go out (and their costs
+            // add up) in bucket order, so identical COPYs cost the same to
+            // the last bit
+            let mut buckets: BTreeMap<usize, Vec<Row>> = BTreeMap::new();
             for row in rows {
                 let v = row.get(value_idx).cloned().unwrap_or(pgmini::types::Datum::Null);
                 if v.is_null() {
@@ -97,7 +99,7 @@ pub fn distributed_copy(
             }
             // per-shard batches stream to placements; per-node parallelism is
             // limited by cores (writes happen via concurrent shard COPYs)
-            let mut per_node_costs: HashMap<NodeId, Vec<f64>> = HashMap::new();
+            let mut per_node_costs: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
             let mut batches: Vec<(NodeId, String, Vec<Row>)> = Vec::new();
             for (b, batch) in buckets {
                 let sid = dt.shards[b];

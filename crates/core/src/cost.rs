@@ -7,13 +7,14 @@
 
 use crate::metadata::NodeId;
 use pgmini::cost::SimCost;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Resource consumption of one distributed statement.
 #[derive(Debug, Clone, Default)]
 pub struct DistCost {
-    /// Service demand per worker node (CPU/disk used on that node).
-    pub per_node: HashMap<NodeId, SimCost>,
+    /// Service demand per worker node (CPU/disk used on that node), in node
+    /// order so every sum over it repeats bit for bit.
+    pub per_node: BTreeMap<NodeId, SimCost>,
     /// Coordinator-side work (planning, merging, COPY parsing).
     pub coordinator: SimCost,
     /// Network latency spent, in ms (round trips × RTT).

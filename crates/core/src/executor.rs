@@ -110,8 +110,10 @@ impl SessionState {
                 }
             }
         }
-        // any pooled connection to that node
-        let key = self.conns.keys().find(|(n, _)| *n == node).copied()?;
+        // any pooled connection to that node — the lowest slot, so the same
+        // statement stream lands on the same backends (and their generic
+        // plan caches) run after run
+        let key = self.conns.keys().filter(|(n, _)| *n == node).min().copied()?;
         self.conns.remove(&key).map(|c| (key, c))
     }
 
@@ -231,6 +233,32 @@ pub fn slow_start_schedule(
     (makespan::node_makespan(&lanes, cores), used)
 }
 
+/// One task's row in the statement trace.
+struct TaskTrace {
+    target: NodeId,
+    local: bool,
+    retries: u64,
+    backoff_ms: f64,
+    service_ms: f64,
+    batches: u64,
+    /// The worker backend ran a cached generic plan (planned nothing).
+    plan_hit: bool,
+}
+
+impl TaskTrace {
+    fn new(target: NodeId, local: bool, cost: &pgmini::cost::SimCost) -> TaskTrace {
+        TaskTrace {
+            target,
+            local,
+            retries: 0,
+            backoff_ms: 0.0,
+            service_ms: cost.total_ms(),
+            batches: cost.batches,
+            plan_hit: cost.plan_hits > 0 && cost.plan_misses == 0,
+        }
+    }
+}
+
 /// Execute a distributed plan on behalf of `session`.
 pub fn execute_plan(
     cluster: &Arc<Cluster>,
@@ -290,11 +318,10 @@ fn execute_plan_inner(
     // a task off task.node) — drives the wire-exchange accounting
     let mut remote_targets: Vec<u32> = Vec::new();
     let mut retries_total = 0u64;
-    // per-task trace rows, collected in task order: (target, retries,
-    // backoff_ms, service_ms, ran locally, vectorized batches). Fault events
-    // attach by scope.
+    // per-task trace rows, collected in task order. Fault events attach by
+    // scope.
     let fault_base = cluster.faults().events_len();
-    let mut task_traces: Vec<(NodeId, u64, f64, f64, bool, u64)> = Vec::new();
+    let mut task_traces: Vec<TaskTrace> = Vec::new();
     let tracing = state.trace.is_some();
     // a statement whose single remote target still has the transaction's
     // pipelined exchange open rides it: no new round trip, and no real wire
@@ -343,14 +370,7 @@ fn execute_plan_inner(
                             .or_default()
                             .push(local_cost.total_ms());
                         if tracing {
-                            task_traces.push((
-                                self_node,
-                                0,
-                                0.0,
-                                local_cost.total_ms(),
-                                true,
-                                local_cost.batches,
-                            ));
+                            task_traces.push(TaskTrace::new(self_node, true, &local_cost));
                         }
                         results.push(result);
                     }
@@ -384,14 +404,11 @@ fn execute_plan_inner(
                             .or_default()
                             .push(remote_cost.total_ms() + rtt);
                         if tracing {
-                            task_traces.push((
-                                target,
-                                retries + 1,
+                            task_traces.push(TaskTrace {
+                                retries: retries + 1,
                                 backoff_ms,
-                                remote_cost.total_ms(),
-                                false,
-                                remote_cost.batches,
-                            ));
+                                ..TaskTrace::new(target, false, &remote_cost)
+                            });
                         }
                         results.push(result);
                     }
@@ -408,14 +425,11 @@ fn execute_plan_inner(
                 cost.add_node(target, &remote_cost);
                 per_node_durations.entry(target).or_default().push(remote_cost.total_ms() + rtt);
                 if tracing {
-                    task_traces.push((
-                        target,
+                    task_traces.push(TaskTrace {
                         retries,
                         backoff_ms,
-                        remote_cost.total_ms(),
-                        false,
-                        remote_cost.batches,
-                    ));
+                        ..TaskTrace::new(target, false, &remote_cost)
+                    });
                 }
                 results.push(result);
             }
@@ -439,14 +453,7 @@ fn execute_plan_inner(
                 cost.add_node(target, &local_cost);
                 per_node_durations.entry(target).or_default().push(local_cost.total_ms());
                 if tracing {
-                    task_traces.push((
-                        target,
-                        0,
-                        0.0,
-                        local_cost.total_ms(),
-                        true,
-                        local_cost.batches,
-                    ));
+                    task_traces.push(TaskTrace::new(target, true, &local_cost));
                 }
                 results.push(result);
                 continue;
@@ -496,19 +503,17 @@ fn execute_plan_inner(
             cost.add_node(target, &remote_cost);
             per_node_durations.entry(target).or_default().push(remote_cost.total_ms() + rtt);
             if tracing {
-                task_traces.push((
-                    target,
-                    0,
-                    0.0,
-                    remote_cost.total_ms(),
-                    false,
-                    remote_cost.batches,
-                ));
+                task_traces.push(TaskTrace::new(target, false, &remote_cost));
             }
             results.push(result);
         }
     }
     let any_remote = !remote_targets.is_empty();
+    let (plan_hits, plan_misses) = cost
+        .per_node
+        .values()
+        .fold((0, 0), |(h, m), c| (h + c.plan_hits, m + c.plan_misses));
+    cluster.metrics.note_local_plans(plan_hits, plan_misses);
     cluster.note_task_retries(retries_total);
     state.last_retries = retries_total;
 
@@ -671,24 +676,27 @@ fn execute_plan_inner(
     if let Some(root) = &mut state.trace {
         root.set("wire", if riding { "pipelined" } else if any_remote { "exchange" } else { "local" });
         let events = cluster.faults().events_since(fault_base);
-        for (i, ((target, retries, backoff_ms, service_ms, local, batches), task)) in
-            task_traces.iter().zip(&plan.tasks).enumerate()
-        {
+        for (i, (t, task)) in task_traces.iter().zip(&plan.tasks).enumerate() {
             let mut span = crate::trace::Span::new("task")
                 .with("index", i)
-                .with("node", node_label(cluster, *target))
+                .with("node", node_label(cluster, t.target))
                 .with("shards", task_scope(task));
-            if *local {
+            if t.local {
                 span.set("exec", "local");
             }
-            if *retries > 0 {
-                span.set("retries", retries);
-                span.set("backoff_ms", crate::trace::fmt_ms(*backoff_ms));
+            if t.retries > 0 {
+                span.set("retries", t.retries);
+                span.set("backoff_ms", crate::trace::fmt_ms(t.backoff_ms));
             }
-            span.set("service_ms", crate::trace::fmt_ms(*service_ms));
-            if *batches > 0 {
+            // the worker ran its backend's cached generic plan: no
+            // base_plan_ms in service_ms
+            if t.plan_hit {
+                span.set("plan", "cached");
+            }
+            span.set("service_ms", crate::trace::fmt_ms(t.service_ms));
+            if t.batches > 0 {
                 span.set("vectorized", "true");
-                span.set("batches", batches);
+                span.set("batches", t.batches);
             }
             let scope = task_scope(task);
             let mut hits: Vec<&netsim::fault::FaultEvent> =
@@ -993,12 +1001,14 @@ fn fan_out_read_tasks(
     // seed the shared pool from the session's idle connections
     let pool: FanOutPool = Mutex::new(HashMap::new());
     {
-        let idle: Vec<ConnKey> = state
+        // in slot order: a node's pool pops its connections deterministically
+        let mut idle: Vec<ConnKey> = state
             .conns
             .iter()
             .filter(|(_, c)| !c.in_txn_block)
             .map(|(k, _)| *k)
             .collect();
+        idle.sort_unstable();
         let mut p = pool.lock().unwrap_or_else(|e| e.into_inner());
         for key in idle {
             if let Some(conn) = state.conns.remove(&key) {

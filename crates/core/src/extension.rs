@@ -337,6 +337,9 @@ impl CitrusExtension {
                             planner::try_fast_path(stmt, &meta)?
                         }
                         planner::cache::CachedTier::Router => planner::try_router(stmt, &meta)?,
+                        planner::cache::CachedTier::Reference => {
+                            planner::try_reference_read(stmt, &meta, self.node)?
+                        }
                     };
                     if cached.is_some() {
                         planning_ms = cluster.config.cached_plan_ms;
@@ -797,21 +800,23 @@ fn cacheable_shape(stmt: &Statement) -> bool {
 }
 
 /// Which tier to record for a freshly-built plan, if any. Only single-task
-/// shard-group plans are cached: the tier re-run on a hit recomputes the
-/// shard bucket from the statement's constants, which is exactly the
-/// per-execution part. Reference-table plans (group `None`) depend on
-/// placement sets, and subplan/prep plans carry per-execution state — both
-/// replan fully every time.
+/// plans are cached: the tier re-run on a hit recomputes the per-execution
+/// part — the shard bucket from the statement's constants, or for a
+/// reference-table read (group `None`) the replica from the placement set,
+/// whose changes bump the metadata generation. Reference-table writes fan
+/// out to every placement, and subplan/prep plans carry per-execution
+/// state — both replan fully every time.
 fn cacheable_tier(plan: &DistPlan) -> Option<planner::cache::CachedTier> {
-    if plan.used_subplans || !plan.prep.is_empty() {
+    if plan.used_subplans || !plan.prep.is_empty() || plan.tasks.len() != 1 {
         return None;
     }
     match plan.kind {
         planner::PlannerKind::FastPath => Some(planner::cache::CachedTier::FastPath),
-        planner::PlannerKind::Router
-            if plan.tasks.len() == 1 && plan.tasks[0].group.is_some() =>
-        {
+        planner::PlannerKind::Router if plan.tasks[0].group.is_some() => {
             Some(planner::cache::CachedTier::Router)
+        }
+        planner::PlannerKind::Router if !plan.is_write => {
+            Some(planner::cache::CachedTier::Reference)
         }
         _ => None,
     }
@@ -999,6 +1004,13 @@ impl Extension for CitrusExtension {
         let mut state = self.take_state(sid);
         self.do_post_commit(session, &mut state);
         self.put_state(sid, state);
+    }
+
+    fn session_closed(&self, session_id: u64) {
+        // drop the state outside the lock: its pooled worker connections
+        // close their own sessions, which may call back into this extension
+        let state = self.sessions.lock().remove(&session_id);
+        drop(state);
     }
 
     fn post_abort(&self, session: &mut Session) {

@@ -103,6 +103,12 @@ pub struct Metrics {
     /// Tasks executed in the client's own backend via local execution (the
     /// worker half of MX mode).
     pub local_exec_tasks: AtomicU64,
+    /// Distributed tasks whose worker backend ran its cached generic plan
+    /// (planned nothing, charged no `base_plan_ms`).
+    pub local_plan_hits: AtomicU64,
+    /// Distributed tasks whose worker backend planned the statement (each
+    /// charged `base_plan_ms`).
+    pub local_plan_misses: AtomicU64,
     /// Commits that used the full two-phase protocol.
     pub twopc_commits: AtomicU64,
     /// Commits delegated to a single worker (§3.7.1).
@@ -182,6 +188,12 @@ impl Metrics {
         e.total_ms += elapsed_ms;
         e.cache_hits += cache_hit as u64;
         e.retries += retries;
+    }
+
+    /// Fold one statement's worker-side plan-cache outcomes in.
+    pub fn note_local_plans(&self, hits: u64, misses: u64) {
+        self.local_plan_hits.fetch_add(hits, Ordering::Relaxed);
+        self.local_plan_misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Distributed executions recorded for a tier (cache hits included).

@@ -540,11 +540,39 @@ pub(crate) fn reference_read_plan(
     meta: &Metadata,
     self_node: NodeId,
 ) -> PgResult<DistPlan> {
+    reference_read_plan_over(stmt, &rewrite::collect_tables(stmt), meta, self_node)
+}
+
+/// The plan-cache re-run of [`reference_read_plan`]: declines unless the
+/// statement is a read whose tables are all reference tables, so a stale
+/// or colliding cache entry falls back to full planning.
+pub fn try_reference_read(
+    stmt: &Statement,
+    meta: &Metadata,
+    self_node: NodeId,
+) -> PgResult<Option<DistPlan>> {
+    if statement_is_write(stmt) {
+        return Ok(None);
+    }
     let tables = rewrite::collect_tables(stmt);
+    if tables.is_empty()
+        || !tables.iter().all(|t| meta.table(t).is_some_and(|dt| dt.is_reference()))
+    {
+        return Ok(None);
+    }
+    reference_read_plan_over(stmt, &tables, meta, self_node).map(Some)
+}
+
+fn reference_read_plan_over(
+    stmt: &Statement,
+    tables: &[String],
+    meta: &Metadata,
+    self_node: NodeId,
+) -> PgResult<DistPlan> {
     // every reference table must have a common placement; prefer self
     let mut candidates: Option<Vec<NodeId>> = None;
     let mut shards: Vec<ShardId> = Vec::new();
-    for t in &tables {
+    for t in tables {
         let dt = meta.require_table(t)?;
         let shard = meta.shard(dt.shards[0])?;
         shards.push(shard.id);

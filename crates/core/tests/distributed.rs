@@ -337,6 +337,42 @@ fn distributed_copy_routes_rows() {
     assert_eq!(r.rows()[0][0], Datum::from_text("payload-123"));
 }
 
+/// Distributed COPY sums its per-shard and per-node costs in shard and node
+/// order, so two identical COPYs into identical clusters cost the same to
+/// the last bit (summing in hash-map order left last-bit differences).
+#[test]
+fn distributed_copy_cost_is_bit_identical() {
+    let copy_cost = || {
+        let c = small_cluster(3);
+        let mut s = c.session().unwrap();
+        s.execute("CREATE TABLE events (key bigint, payload text)").unwrap();
+        s.execute("SELECT create_distributed_table('events', 'key')").unwrap();
+        s.execute("CREATE INDEX events_payload ON events USING gin (payload)").unwrap();
+        let rows: Vec<Vec<Datum>> = (0..400)
+            .map(|i| vec![Datum::Int(i), Datum::Text(format!("payload number {i}"))])
+            .collect();
+        assert_eq!(s.copy("events", &[], rows).unwrap(), 400);
+        s.last_dist_cost()
+    };
+    let bits = |d: &citrus::cost::DistCost| {
+        let mut v: Vec<u64> = vec![
+            d.elapsed_ms.to_bits(),
+            d.net_ms.to_bits(),
+            d.coordinator.cpu_ms.to_bits(),
+            d.total_demand_ms().to_bits(),
+        ];
+        for (n, c) in &d.per_node {
+            v.extend([n.0 as u64, c.cpu_ms.to_bits(), c.io_ms.to_bits(), c.rows_processed]);
+        }
+        v
+    };
+    let first = bits(&copy_cost());
+    assert!(first.len() > 4 + 4, "rows landed on several nodes");
+    for _ in 0..4 {
+        assert_eq!(bits(&copy_cost()), first, "identical COPYs cost the same bits");
+    }
+}
+
 #[test]
 fn insert_select_strategies() {
     let c = small_cluster(2);

@@ -107,7 +107,7 @@ impl BVec<'_> {
 /// error codes) identical to the row-at-a-time interpreter.
 pub fn supports_batch(e: &BExpr) -> bool {
     match e {
-        BExpr::Const(_) | BExpr::Col(_) => true,
+        BExpr::Const(_) | BExpr::Param(_) | BExpr::Col(_) => true,
         BExpr::Unary { expr, .. } | BExpr::Cast { expr, .. } | BExpr::IsNull { expr, .. } => {
             supports_batch(expr)
         }
@@ -135,7 +135,7 @@ pub fn supports_batch(e: &BExpr) -> bool {
 /// nodes that do per-lane work; `Const`/`Col` resolve to existing vectors).
 pub fn kernel_count(e: &BExpr) -> u64 {
     match e {
-        BExpr::Const(_) | BExpr::Col(_) => 0,
+        BExpr::Const(_) | BExpr::Param(_) | BExpr::Col(_) => 0,
         BExpr::Unary { expr, .. } | BExpr::Cast { expr, .. } | BExpr::IsNull { expr, .. } => {
             1 + kernel_count(expr)
         }
@@ -172,6 +172,7 @@ pub fn eval_batch<'a>(
 ) -> PgResult<BVec<'a>> {
     Ok(match e {
         BExpr::Const(d) => BVec::Const(d.clone()),
+        BExpr::Param(i) => BVec::Const(ctx.param(*i)?.clone()),
         BExpr::Col(i) => BVec::Ref(batch.col(*i)?),
         BExpr::Unary { op, expr } => {
             let v = eval_batch(expr, batch, sel, ctx)?;
@@ -386,7 +387,7 @@ pub fn filter_batch(
 /// Columns referenced by `e`, accumulated into `out`.
 pub fn collect_cols(e: &BExpr, out: &mut std::collections::BTreeSet<usize>) {
     match e {
-        BExpr::Const(_) => {}
+        BExpr::Const(_) | BExpr::Param(_) => {}
         BExpr::Col(i) => {
             out.insert(*i);
         }

@@ -82,6 +82,11 @@ pub struct SimCost {
     /// Column batches processed by vectorized kernels (0 on the volcano
     /// path); surfaces in EXPLAIN ANALYZE / trace spans as `batches=N`.
     pub batches: u64,
+    /// Statements that ran a backend's cached generic plan (no planning, no
+    /// `base_plan_ms`).
+    pub plan_hits: u64,
+    /// Statements that were planned (each charged `base_plan_ms`).
+    pub plan_misses: u64,
 }
 
 impl SimCost {
@@ -94,6 +99,8 @@ impl SimCost {
         rows_processed: 0,
         net_rtts: 0,
         batches: 0,
+        plan_hits: 0,
+        plan_misses: 0,
     };
 
     /// Total elapsed simulated time if the work ran serially.
@@ -110,6 +117,8 @@ impl SimCost {
         self.rows_processed += other.rows_processed;
         self.net_rtts += other.net_rtts;
         self.batches += other.batches;
+        self.plan_hits += other.plan_hits;
+        self.plan_misses += other.plan_misses;
     }
 
     pub fn add_cpu(&mut self, ms: f64) {

@@ -1,16 +1,22 @@
 //! DML execution: INSERT (with ON CONFLICT), UPDATE, DELETE, COPY.
 //!
+//! INSERT/UPDATE/DELETE run in two steps, like SELECT: a plan step resolves
+//! the table, columns and access path and binds every expression
+//! (`plan_insert`, `plan_modify`), and a run step executes that plan
+//! against the statement's parameter values (`run_insert`, `run_update`,
+//! `run_delete`), so one plan serves every execution of a statement shape.
+//!
 //! Writers follow PostgreSQL's read-committed protocol: target rows are found
 //! under the statement snapshot, locked, then re-checked against the latest
 //! committed version before modification (the EvalPlanQual dance).
 
 use crate::catalog::{IndexMethod, TableMeta};
 use crate::error::{ErrorCode, PgError, PgResult};
-use crate::exec::{execute_select, scan_with_rowids, ExecCtx};
+use crate::exec::{build_select_plan, execute_select, run_select_plan, scan_with_rowids, ExecCtx};
 use crate::expr::{bind, eval, BExpr, ColumnRef, RowScope};
 use crate::index::IndexStore;
 use crate::lock::{LockKey, LockMode};
-use crate::plan::{choose_access_paths, split_conjuncts, conjoin, PlanNode};
+use crate::plan::{choose_access_paths, split_conjuncts, PlanNode, SelectPlan};
 use crate::storage::{ExpireOutcome, TableStore};
 use crate::types::{Datum, Row};
 use crate::txn::INVALID_XID;
@@ -258,12 +264,34 @@ fn require_xid(ctx: &ExecCtx) -> PgResult<()> {
     Ok(())
 }
 
-/// Execute INSERT. Returns the number of rows inserted (ON CONFLICT DO
-/// NOTHING rows are not counted; DO UPDATE rows are).
-pub fn exec_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResult<u64> {
-    require_xid(ctx)?;
+/// A planned INSERT: target table, resolved columns, bound source rows (or
+/// a planned source SELECT) and ON CONFLICT action.
+#[derive(Debug, Clone)]
+pub struct InsertPlan {
+    meta: TableMeta,
+    target_cols: Vec<usize>,
+    source: InsertRows,
+    on_conflict: Option<ConflictPlan>,
+}
+
+#[derive(Debug, Clone)]
+enum InsertRows {
+    Values(Vec<Vec<BExpr>>),
+    Query(Box<SelectPlan>),
+}
+
+/// ON CONFLICT: the conflict key's columns, and the DO UPDATE assignments
+/// (bound over the table's columns followed by `excluded.*`); `None` is
+/// DO NOTHING.
+#[derive(Debug, Clone)]
+struct ConflictPlan {
+    cols: Vec<usize>,
+    update: Option<Vec<(usize, BExpr)>>,
+}
+
+/// Plan an INSERT: resolve its table and columns and bind its expressions.
+pub fn plan_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResult<InsertPlan> {
     let meta = ctx.engine.table_meta(&ins.table)?;
-    ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
     let target_cols: Vec<usize> = if ins.columns.is_empty() {
         (0..meta.columns.len()).collect()
     } else {
@@ -272,36 +300,98 @@ pub fn exec_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResul
             .map(|n| meta.column_index(n).ok_or_else(|| PgError::undefined_column(n)))
             .collect::<PgResult<_>>()?
     };
-    // materialise source rows first (so INSERT INTO t SELECT FROM t is sane)
-    let source_rows: Vec<Row> = match &ins.source {
+    let source = match &ins.source {
         InsertSource::Values(rows) => {
             let scope = RowScope::default();
+            InsertRows::Values(
+                rows.iter()
+                    .map(|r| r.iter().map(|e| bind(e, &scope, params)).collect())
+                    .collect::<PgResult<_>>()?,
+            )
+        }
+        InsertSource::Query(sel) => {
+            InsertRows::Query(Box::new(build_select_plan(ctx, sel, params)?))
+        }
+    };
+    let on_conflict = match &ins.on_conflict {
+        None => None,
+        Some(oc) => {
+            let cols: Vec<usize> = if oc.target.is_empty() {
+                meta.primary_key.clone().ok_or_else(|| {
+                    PgError::new(ErrorCode::InvalidParameter, "ON CONFLICT requires a primary key")
+                })?
+            } else {
+                oc.target
+                    .iter()
+                    .map(|n| meta.column_index(n).ok_or_else(|| PgError::undefined_column(n)))
+                    .collect::<PgResult<_>>()?
+            };
+            let update = match &oc.action {
+                ConflictAction::Nothing => None,
+                ConflictAction::Update(assignments) => {
+                    // scope: table columns then excluded.*
+                    let mut scope = table_scope(&meta, None);
+                    scope.cols.extend(
+                        meta.columns.iter().map(|c| ColumnRef::new(Some("excluded"), &c.name)),
+                    );
+                    Some(bind_assignments(&meta, assignments, &scope, params)?)
+                }
+            };
+            Some(ConflictPlan { cols, update })
+        }
+    };
+    Ok(InsertPlan { meta, target_cols, source, on_conflict })
+}
+
+fn bind_assignments(
+    meta: &TableMeta,
+    assignments: &[Assignment],
+    scope: &RowScope,
+    params: &[Datum],
+) -> PgResult<Vec<(usize, BExpr)>> {
+    assignments
+        .iter()
+        .map(|a| {
+            let c = meta
+                .column_index(&a.column)
+                .ok_or_else(|| PgError::undefined_column(&a.column))?;
+            Ok((c, bind(&a.value, scope, params)?))
+        })
+        .collect()
+}
+
+/// Run a planned INSERT. Returns the number of rows inserted (ON CONFLICT DO
+/// NOTHING rows are not counted; DO UPDATE rows are).
+pub fn run_insert(ctx: &mut ExecCtx, plan: &InsertPlan) -> PgResult<u64> {
+    require_xid(ctx)?;
+    let meta = &plan.meta;
+    ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
+    // materialise source rows first (so INSERT INTO t SELECT FROM t is sane)
+    let source_rows: Vec<Row> = match &plan.source {
+        InsertRows::Values(rows) => {
             let mut out = Vec::with_capacity(rows.len());
             for r in rows {
                 let row: Row = r
                     .iter()
-                    .map(|e| {
-                        let b = bind(e, &scope, params)?;
-                        eval(&b, &vec![], &ctx.eval_ctx)
-                    })
+                    .map(|b| eval(b, &vec![], &ctx.eval_ctx))
                     .collect::<PgResult<_>>()?;
                 out.push(row);
             }
             out
         }
-        InsertSource::Query(sel) => execute_select(ctx, sel, params)?.1,
+        InsertRows::Query(sel) => run_select_plan(ctx, sel)?.1,
     };
 
     let store = ctx.engine.store(meta.id)?;
     match &*store {
         TableStore::Columnar(col) => {
-            if ins.on_conflict.is_some() {
+            if plan.on_conflict.is_some() {
                 return Err(PgError::unsupported("ON CONFLICT on columnar tables"));
             }
             let mut batch = Vec::with_capacity(source_rows.len());
             for values in source_rows {
-                let row = complete_row(ctx, &meta, &target_cols, values)?;
-                charge_write(ctx, &meta, &row)?;
+                let row = complete_row(ctx, meta, &plan.target_cols, values)?;
+                charge_write(ctx, meta, &row)?;
                 batch.push(row);
             }
             let n = batch.len() as u64;
@@ -317,23 +407,19 @@ pub fn exec_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResul
         TableStore::Heap(heap) => {
             let mut count = 0u64;
             for values in source_rows {
-                let row = complete_row(ctx, &meta, &target_cols, values)?;
+                let row = complete_row(ctx, meta, &plan.target_cols, values)?;
                 // ON CONFLICT: look for an existing live row on the target key
-                if let Some(oc) = &ins.on_conflict {
-                    if let Some((existing_rid, existing_row)) =
-                        find_conflict(ctx, &meta, &oc.target, &row)?
-                    {
-                        match &oc.action {
-                            ConflictAction::Nothing => continue,
-                            ConflictAction::Update(assignments) => {
+                if let Some(oc) = &plan.on_conflict {
+                    if let Some((existing_rid, _)) = find_conflict(ctx, meta, &oc.cols, &row)? {
+                        match &oc.update {
+                            None => continue,
+                            Some(assignments) => {
                                 apply_conflict_update(
                                     ctx,
-                                    &meta,
+                                    meta,
                                     existing_rid,
-                                    &existing_row,
                                     &row,
                                     assignments,
-                                    params,
                                 )?;
                                 count += 1;
                                 continue;
@@ -341,17 +427,17 @@ pub fn exec_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResul
                         }
                     }
                 }
-                check_unique(ctx, &meta, &row, None)?;
-                check_fk_outbound(ctx, &meta, &row)?;
+                check_unique(ctx, meta, &row, None)?;
+                check_fk_outbound(ctx, meta, &row)?;
                 let row_id = heap.insert(ctx.xid, row.clone());
-                ctx.engine.index_insert_row(&meta, row_id, &row)?;
+                ctx.engine.index_insert_row(meta, row_id, &row)?;
                 ctx.engine.wal.append(WalRecord::Insert {
                     xid: ctx.xid,
                     table: meta.id,
                     row_id,
                     row: row.clone(),
                 });
-                charge_write(ctx, &meta, &row)?;
+                charge_write(ctx, meta, &row)?;
                 count += 1;
             }
             Ok(count)
@@ -363,19 +449,9 @@ pub fn exec_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResul
 fn find_conflict(
     ctx: &mut ExecCtx,
     meta: &TableMeta,
-    target: &[String],
+    cols: &[usize],
     row: &Row,
 ) -> PgResult<Option<(u64, Row)>> {
-    let cols: Vec<usize> = if target.is_empty() {
-        meta.primary_key.clone().ok_or_else(|| {
-            PgError::new(ErrorCode::InvalidParameter, "ON CONFLICT requires a primary key")
-        })?
-    } else {
-        target
-            .iter()
-            .map(|n| meta.column_index(n).ok_or_else(|| PgError::undefined_column(n)))
-            .collect::<PgResult<_>>()?
-    };
     let values: Vec<Datum> = cols.iter().map(|&c| row[c].clone()).collect();
     if values.iter().any(Datum::is_null) {
         return Ok(None);
@@ -432,10 +508,8 @@ fn apply_conflict_update(
     ctx: &mut ExecCtx,
     meta: &TableMeta,
     row_id: u64,
-    _existing: &Row,
     proposed: &Row,
-    assignments: &[Assignment],
-    params: &[Datum],
+    assignments: &[(usize, BExpr)],
 ) -> PgResult<()> {
     ctx.engine.locks.acquire(ctx.xid, LockKey::Row(meta.id, row_id), LockMode::Exclusive)?;
     let fresh = ctx.engine.txns.snapshot(ctx.xid);
@@ -444,25 +518,16 @@ fn apply_conflict_update(
     let Some(current) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) else {
         return Ok(()); // row vanished; PostgreSQL would retry, we no-op
     };
-    // scope: table columns then excluded.*
-    let mut scope = table_scope(meta, None);
-    scope
-        .cols
-        .extend(meta.columns.iter().map(|c| ColumnRef::new(Some("excluded"), &c.name)));
     let mut eval_row = current.clone();
     eval_row.extend(proposed.iter().cloned());
     let mut new_row = current.clone();
-    for a in assignments {
-        let c = meta
-            .column_index(&a.column)
-            .ok_or_else(|| PgError::undefined_column(&a.column))?;
-        let b = bind(&a.value, &scope, params)?;
-        let v = eval(&b, &eval_row, &ctx.eval_ctx)?;
+    for &(c, ref b) in assignments {
+        let v = eval(b, &eval_row, &ctx.eval_ctx)?;
         new_row[c] = if v.is_null() { v } else { v.cast_to(meta.columns[c].ty)? };
         if new_row[c].is_null() && meta.columns[c].not_null {
             return Err(PgError::new(
                 ErrorCode::NotNullViolation,
-                format!("null value in column \"{}\"", a.column),
+                format!("null value in column \"{}\"", meta.columns[c].name),
             ));
         }
     }
@@ -485,50 +550,68 @@ fn apply_conflict_update(
     Ok(())
 }
 
-/// Collect (row_id, row) targets of an UPDATE/DELETE using index access
-/// paths when possible.
-fn collect_targets(
+/// A planned UPDATE or DELETE: target table, bound assignments (empty for
+/// DELETE), the WHERE predicate re-checked on each target's latest version,
+/// and the access path that finds the targets.
+#[derive(Debug, Clone)]
+pub struct ModifyPlan {
+    meta: TableMeta,
+    assignments: Vec<(usize, BExpr)>,
+    filter: Option<BExpr>,
+    target: PlanNode,
+}
+
+/// Plan an UPDATE (`assignments` non-empty) or DELETE over `table`.
+pub fn plan_modify(
     ctx: &mut ExecCtx,
-    meta: &TableMeta,
+    table: &str,
     alias: Option<&str>,
+    assignments: &[Assignment],
     where_clause: &Option<Expr>,
     params: &[Datum],
-) -> PgResult<Vec<(u64, Row)>> {
-    let scope = table_scope(meta, alias);
-    let mut node = PlanNode::SeqScan { table: meta.id, filter: None, cols: None };
-    if let Some(w) = where_clause {
-        // subqueries in DML WHERE: execute them via the select path
-        let mut subq = CtxSubquery { ctx, params: params.to_vec() };
-        let flat = crate::plan::flatten_for_dml(w, &mut subq)?;
-        let conjuncts = split_conjuncts(&flat);
-        let mut residual = Vec::new();
-        for c in conjuncts {
-            let b = bind(&c, &scope, params)?;
-            match &mut node {
-                PlanNode::SeqScan { filter, .. } => match filter {
-                    Some(f) => {
-                        *filter = Some(BExpr::Binary {
-                            op: sqlparse::ast::BinaryOp::And,
-                            left: Box::new(f.clone()),
-                            right: Box::new(b),
-                        })
-                    }
-                    None => *filter = Some(b),
-                },
-                _ => residual.push(c),
-            }
+) -> PgResult<ModifyPlan> {
+    let meta = ctx.engine.table_meta(table)?;
+    let scope = table_scope(&meta, alias);
+    let assignments = bind_assignments(&meta, assignments, &scope, params)?;
+    // subqueries in DML WHERE: execute them via the select path
+    let flat = match where_clause {
+        Some(w) => {
+            let mut subq = CtxSubquery { ctx, params: params.to_vec() };
+            Some(crate::plan::flatten_for_dml(w, &mut subq)?)
         }
-        let _ = conjoin(residual);
+        None => None,
+    };
+    let filter = flat.as_ref().map(|f| bind(f, &scope, params)).transpose()?;
+    // the target scan: every conjunct filters the scan, and the access-path
+    // choice may turn it into an index probe
+    let mut target = PlanNode::SeqScan { table: meta.id, filter: None, cols: None };
+    if let (Some(f), PlanNode::SeqScan { filter, .. }) = (&flat, &mut target) {
+        for c in split_conjuncts(f) {
+            let b = bind(&c, &scope, params)?;
+            *filter = Some(match filter.take() {
+                Some(prev) => BExpr::Binary {
+                    op: sqlparse::ast::BinaryOp::And,
+                    left: Box::new(prev),
+                    right: Box::new(b),
+                },
+                None => b,
+            });
+        }
     }
     let engine = ctx.engine.clone();
     let view = crate::exec::EngineCatalogView { engine: &engine };
-    choose_access_paths(&mut node, &view, &|id| engine.table_meta_by_id(id))?;
-    match node {
+    choose_access_paths(&mut target, &view, &|id| engine.table_meta_by_id(id))?;
+    Ok(ModifyPlan { meta, assignments, filter, target })
+}
+
+/// Collect the (row_id, row) targets of a planned UPDATE/DELETE.
+fn collect_targets(ctx: &mut ExecCtx, target: &PlanNode) -> PgResult<Vec<(u64, Row)>> {
+    match target {
         PlanNode::SeqScan { table, filter, .. } => {
-            scan_with_rowids(ctx, table, None, &filter, None)
+            scan_with_rowids(ctx, *table, None, filter, None)
         }
         PlanNode::IndexScan { table, index, probe, filter } => {
-            scan_with_rowids(ctx, table, Some((index, &probe)), &filter, None)
+            scan_with_rowids(ctx, *table, Some((*index, probe)), filter, None)
         }
         _ => Err(PgError::internal("unexpected DML target plan")),
     }
@@ -546,37 +629,12 @@ impl crate::plan::SubqueryExecutor for CtxSubquery<'_, '_> {
     }
 }
 
-/// Execute UPDATE. Returns rows updated.
-pub fn exec_update(
-    ctx: &mut ExecCtx,
-    upd: &sqlparse::ast::Update,
-    params: &[Datum],
-) -> PgResult<u64> {
+/// Run a planned UPDATE. Returns rows updated.
+pub fn run_update(ctx: &mut ExecCtx, plan: &ModifyPlan) -> PgResult<u64> {
     require_xid(ctx)?;
-    let meta = ctx.engine.table_meta(&upd.table)?;
+    let meta = &plan.meta;
     ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
-    let scope = table_scope(&meta, upd.alias.as_deref());
-    let assignments: Vec<(usize, BExpr)> = upd
-        .assignments
-        .iter()
-        .map(|a| {
-            let c = meta
-                .column_index(&a.column)
-                .ok_or_else(|| PgError::undefined_column(&a.column))?;
-            Ok((c, bind(&a.value, &scope, params)?))
-        })
-        .collect::<PgResult<_>>()?;
-    let filter_bound = upd
-        .where_clause
-        .as_ref()
-        .map(|w| {
-            let mut subq = CtxSubquery { ctx, params: params.to_vec() };
-            let flat = crate::plan::flatten_for_dml(w, &mut subq)?;
-            bind(&flat, &scope, params)
-        })
-        .transpose()?;
-    let targets =
-        collect_targets(ctx, &meta, upd.alias.as_deref(), &upd.where_clause, params)?;
+    let targets = collect_targets(ctx, &plan.target)?;
     let store = ctx.engine.store(meta.id)?;
     let heap = store.heap()?;
     let mut count = 0u64;
@@ -587,13 +645,13 @@ pub fn exec_update(
             continue; // deleted meanwhile
         };
         // EvalPlanQual: predicate must still hold on the latest version
-        if let Some(f) = &filter_bound {
+        if let Some(f) = &plan.filter {
             if !matches!(eval(f, &current, &ctx.eval_ctx)?, Datum::Bool(true)) {
                 continue;
             }
         }
         let mut new_row = current.clone();
-        for (c, b) in &assignments {
+        for (c, b) in &plan.assignments {
             let v = eval(b, &current, &ctx.eval_ctx)?;
             new_row[*c] = if v.is_null() { v } else { v.cast_to(meta.columns[*c].ty)? };
             if new_row[*c].is_null() && meta.columns[*c].not_null {
@@ -603,14 +661,14 @@ pub fn exec_update(
                 ));
             }
         }
-        check_unique(ctx, &meta, &new_row, Some(row_id))?;
-        check_fk_outbound(ctx, &meta, &new_row)?;
+        check_unique(ctx, meta, &new_row, Some(row_id))?;
+        check_fk_outbound(ctx, meta, &new_row)?;
         match heap.expire(&ctx.engine.txns, &fresh, row_id, ctx.xid)? {
             ExpireOutcome::Expired => {}
             _ => continue,
         }
         heap.insert_version(row_id, ctx.xid, new_row.clone());
-        ctx.engine.index_insert_row(&meta, row_id, &new_row)?;
+        ctx.engine.index_insert_row(meta, row_id, &new_row)?;
         ctx.engine.wal.append(WalRecord::Update {
             xid: ctx.xid,
             table: meta.id,
@@ -618,33 +676,18 @@ pub fn exec_update(
             old_row: current,
             new_row: new_row.clone(),
         });
-        charge_write(ctx, &meta, &new_row)?;
+        charge_write(ctx, meta, &new_row)?;
         count += 1;
     }
     Ok(count)
 }
 
-/// Execute DELETE. Returns rows deleted.
-pub fn exec_delete(
-    ctx: &mut ExecCtx,
-    del: &sqlparse::ast::Delete,
-    params: &[Datum],
-) -> PgResult<u64> {
+/// Run a planned DELETE. Returns rows deleted.
+pub fn run_delete(ctx: &mut ExecCtx, plan: &ModifyPlan) -> PgResult<u64> {
     require_xid(ctx)?;
-    let meta = ctx.engine.table_meta(&del.table)?;
+    let meta = &plan.meta;
     ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
-    let scope = table_scope(&meta, del.alias.as_deref());
-    let filter_bound = del
-        .where_clause
-        .as_ref()
-        .map(|w| {
-            let mut subq = CtxSubquery { ctx, params: params.to_vec() };
-            let flat = crate::plan::flatten_for_dml(w, &mut subq)?;
-            bind(&flat, &scope, params)
-        })
-        .transpose()?;
-    let targets =
-        collect_targets(ctx, &meta, del.alias.as_deref(), &del.where_clause, params)?;
+    let targets = collect_targets(ctx, &plan.target)?;
     let store = ctx.engine.store(meta.id)?;
     let heap = store.heap()?;
     let mut count = 0u64;
@@ -654,12 +697,12 @@ pub fn exec_delete(
         let Some(current) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) else {
             continue;
         };
-        if let Some(f) = &filter_bound {
+        if let Some(f) = &plan.filter {
             if !matches!(eval(f, &current, &ctx.eval_ctx)?, Datum::Bool(true)) {
                 continue;
             }
         }
-        check_fk_inbound(ctx, &meta, &current)?;
+        check_fk_inbound(ctx, meta, &current)?;
         match heap.expire(&ctx.engine.txns, &fresh, row_id, ctx.xid)? {
             ExpireOutcome::Expired => {}
             _ => continue,

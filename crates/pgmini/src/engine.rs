@@ -76,6 +76,9 @@ pub struct Engine {
     pub buffer: BufferPool,
     pub hooks: Hooks,
     udfs: RwLock<HashMap<String, Udf>>,
+    /// Bumped by every catalog change; backends' generic plans built under
+    /// an older version are stale.
+    catalog_version: AtomicU64,
     conn_count: AtomicU32,
     pub(crate) session_seq: AtomicU64,
 }
@@ -95,6 +98,7 @@ impl Engine {
             buffer: BufferPool::new(capacity_pages),
             hooks: Hooks::default(),
             udfs: RwLock::new(HashMap::new()),
+            catalog_version: AtomicU64::new(0),
             conn_count: AtomicU32::new(0),
             session_seq: AtomicU64::new(1),
         })
@@ -133,6 +137,31 @@ impl Engine {
 
     // ---------------- catalog & stores ----------------
 
+    /// Write access to the catalog. Every catalog change goes through here
+    /// and bumps [`Engine::catalog_version`] once the write lock is held, so
+    /// a backend that read the old version before planning can never store
+    /// a plan of the old catalog under the new version.
+    fn catalog_mut(&self) -> parking_lot::RwLockWriteGuard<'_, Catalog> {
+        let guard = self.catalog.write();
+        self.catalog_version.fetch_add(1, Ordering::SeqCst);
+        guard
+    }
+
+    /// Version of the catalog: the guard of every backend's generic plans.
+    /// CREATE/DROP TABLE, CREATE INDEX, columnar conversion and row-width
+    /// overrides bump it; a WAL restore builds a new engine whose backends
+    /// start with empty plan caches.
+    pub fn catalog_version(&self) -> u64 {
+        self.catalog_version.load(Ordering::SeqCst)
+    }
+
+    /// Invalidate every backend's generic plans on this engine (PostgreSQL's
+    /// `DISCARD PLANS`, applied to all sessions at once); the next execution
+    /// of each shape plans afresh.
+    pub fn invalidate_generic_plans(&self) {
+        self.catalog_version.fetch_add(1, Ordering::SeqCst);
+    }
+
     pub fn store(&self, id: TableId) -> PgResult<Arc<TableStore>> {
         self.stores
             .read()
@@ -164,7 +193,7 @@ impl Engine {
     /// Override a table's simulated row width (benchmarks size datasets to
     /// the paper's scale this way).
     pub fn set_sim_row_width(&self, table: &str, width: u32) -> PgResult<()> {
-        let mut cat = self.catalog.write();
+        let mut cat = self.catalog_mut();
         let id = cat.table_id(table)?;
         cat.table_mut(id)?.sim_row_width = width;
         Ok(())
@@ -172,7 +201,7 @@ impl Engine {
 
     /// Switch a table to columnar storage (must be empty).
     pub fn set_columnar(&self, table: &str) -> PgResult<()> {
-        let mut cat = self.catalog.write();
+        let mut cat = self.catalog_mut();
         let id = cat.table_id(table)?;
         if self.store(id)?.live_estimate() > 0 {
             return Err(PgError::unsupported(
@@ -215,7 +244,7 @@ impl Engine {
     /// CREATE TABLE: catalog entry, store, primary-key/unique indexes,
     /// foreign keys. Logged to the WAL so standbys can replay schema.
     pub fn ddl_create_table(&self, stmt: &CreateTable) -> PgResult<()> {
-        let mut cat = self.catalog.write();
+        let mut cat = self.catalog_mut();
         let Some(id) = cat.create_table(stmt)? else { return Ok(()) };
         let store = match cat.table(id)?.storage {
             Storage::Heap => TableStore::Heap(HeapStore::default()),
@@ -267,7 +296,7 @@ impl Engine {
 
     /// CREATE INDEX: catalog entry, store, and backfill from visible rows.
     pub fn ddl_create_index(&self, stmt: &CreateIndex) -> PgResult<()> {
-        let mut cat = self.catalog.write();
+        let mut cat = self.catalog_mut();
         if let Ok(tid) = cat.table_id(&stmt.table) {
             if matches!(cat.table(tid)?.storage, Storage::Columnar) {
                 return Err(PgError::new(
@@ -301,7 +330,7 @@ impl Engine {
     }
 
     pub fn ddl_drop_table(&self, name: &str, if_exists: bool) -> PgResult<()> {
-        let mut cat = self.catalog.write();
+        let mut cat = self.catalog_mut();
         if cat.table_id(name).is_err() && if_exists {
             return Ok(());
         }

@@ -155,6 +155,9 @@ impl Builtin {
 #[derive(Debug, Clone, PartialEq)]
 pub enum BExpr {
     Const(Datum),
+    /// Parameter slot `i` (0-based): a `$n` parameter, or a literal of a
+    /// generic plan, read from [`EvalCtx::params`] when evaluated.
+    Param(usize),
     Col(usize),
     Unary { op: UnaryOp, expr: Box<BExpr> },
     Binary { op: BinaryOp, left: Box<BExpr>, right: Box<BExpr> },
@@ -178,7 +181,7 @@ impl BExpr {
     /// True when the expression references no columns (constant-foldable).
     pub fn is_const(&self) -> bool {
         match self {
-            BExpr::Const(_) => true,
+            BExpr::Const(_) | BExpr::Param(_) => true,
             BExpr::Col(_) => false,
             BExpr::Unary { expr, .. } | BExpr::Cast { expr, .. } | BExpr::IsNull { expr, .. } => {
                 expr.is_const()
@@ -204,15 +207,30 @@ impl BExpr {
     }
 }
 
-/// Per-statement evaluation context: deterministic RNG and a fixed `now()`.
+/// Per-statement evaluation context: deterministic RNG, a fixed `now()`,
+/// and the statement's parameter values.
 pub struct EvalCtx {
     rng: Cell<u64>,
     pub now_micros: i64,
+    /// Values of the [`BExpr::Param`] slots.
+    pub params: Vec<Datum>,
 }
 
 impl EvalCtx {
     pub fn new(seed: u64, now_micros: i64) -> Self {
-        EvalCtx { rng: Cell::new(seed | 1), now_micros }
+        EvalCtx { rng: Cell::new(seed | 1), now_micros, params: Vec::new() }
+    }
+
+    /// The default context carrying `params`, for evaluating constant
+    /// expressions while planning.
+    pub(crate) fn with_params(params: &[Datum]) -> Self {
+        EvalCtx { params: params.to_vec(), ..EvalCtx::default() }
+    }
+
+    pub(crate) fn param(&self, i: usize) -> PgResult<&Datum> {
+        self.params.get(i).ok_or_else(|| {
+            PgError::new(ErrorCode::InvalidParameter, format!("no value for parameter ${}", i + 1))
+        })
     }
 
     fn next_f64(&self) -> f64 {
@@ -228,16 +246,22 @@ impl Default for EvalCtx {
     }
 }
 
-/// Bind a parsed expression against `scope`. `params` supplies `$n` values.
+/// Bind a parsed expression against `scope`. `$n` binds to parameter slot
+/// `n - 1`, evaluated at run time from [`EvalCtx::params`]; `params` are the
+/// values the statement will run with (checked for arity here, and read by
+/// the few plan-time constant evaluations).
 /// Subqueries must have been flattened by the planner before binding.
 pub fn bind(expr: &Expr, scope: &RowScope, params: &[Datum]) -> PgResult<BExpr> {
     Ok(match expr {
         Expr::Literal(l) => BExpr::Const(literal_datum(l)),
         Expr::Param(n) => {
-            let v = params.get(*n - 1).ok_or_else(|| {
-                PgError::new(ErrorCode::InvalidParameter, format!("no value for parameter ${n}"))
-            })?;
-            BExpr::Const(v.clone())
+            if *n == 0 || *n > params.len() {
+                return Err(PgError::new(
+                    ErrorCode::InvalidParameter,
+                    format!("no value for parameter ${n}"),
+                ));
+            }
+            BExpr::Param(n - 1)
         }
         Expr::Column { table, name } => {
             BExpr::Col(scope.resolve(table.as_deref(), name)?)
@@ -265,8 +289,9 @@ pub fn bind(expr: &Expr, scope: &RowScope, params: &[Datum]) -> PgResult<BExpr> 
         Expr::InList { expr, list, negated } => {
             let bound: Vec<BExpr> =
                 list.iter().map(|e| bind(e, scope, params)).collect::<PgResult<_>>()?;
-            if bound.len() > 32 && bound.iter().all(BExpr::is_const) {
-                let ctx = EvalCtx::default();
+            if bound.len() > sqlparse::shape::MAX_SLOT_IN_LIST && bound.iter().all(BExpr::is_const)
+            {
+                let ctx = EvalCtx::with_params(params);
                 let mut set = std::collections::BTreeSet::new();
                 let mut has_null = false;
                 for b in &bound {
@@ -345,6 +370,7 @@ pub fn literal_datum(l: &Literal) -> Datum {
 pub fn eval(e: &BExpr, row: &Row, ctx: &EvalCtx) -> PgResult<Datum> {
     match e {
         BExpr::Const(d) => Ok(d.clone()),
+        BExpr::Param(i) => ctx.param(*i).cloned(),
         BExpr::Col(i) => row
             .get(*i)
             .cloned()
@@ -1085,7 +1111,11 @@ mod tests {
     fn params_bind() {
         let e = parse_expr("a + $1").unwrap();
         let b = bind(&e, &scope(), &[Datum::Int(32)]).unwrap();
-        assert_eq!(eval(&b, &sample_row(), &EvalCtx::default()).unwrap(), Datum::Int(42));
+        let ctx = EvalCtx::with_params(&[Datum::Int(32)]);
+        assert_eq!(eval(&b, &sample_row(), &ctx).unwrap(), Datum::Int(42));
+        // the plan is generic: the same bound tree runs with other values
+        let ctx = EvalCtx::with_params(&[Datum::Int(-10)]);
+        assert_eq!(eval(&b, &sample_row(), &ctx).unwrap(), Datum::Int(0));
         assert!(bind(&e, &scope(), &[]).is_err());
     }
 

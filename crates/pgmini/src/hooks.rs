@@ -6,7 +6,8 @@
 //! * **planner hook** — intercept SELECT/DML before local planning;
 //! * **utility hook** — intercept DDL, COPY, and other non-planned commands;
 //! * **transaction callbacks** — pre-commit / post-commit / abort, used for
-//!   two-phase commit orchestration;
+//!   two-phase commit orchestration, and session close, used to release
+//!   per-session state;
 //! * **UDFs** — registered on the engine (see `Engine::register_udf`), used
 //!   for metadata manipulation and remote procedure calls;
 //! * **background workers** — see [`crate::bgworker`].
@@ -53,6 +54,10 @@ pub trait Extension: Send + Sync {
 
     /// Called after the local transaction aborted.
     fn post_abort(&self, _session: &mut Session) {}
+
+    /// Called when a session closes (after any open transaction rolled
+    /// back): per-session state kept for it can be released.
+    fn session_closed(&self, _session_id: u64) {}
 }
 
 /// Hook registry on an engine. A single extension slot is sufficient here

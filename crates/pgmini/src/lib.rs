@@ -10,7 +10,8 @@
 //! * write-ahead log with restore points, byte encoding, and replay;
 //! * blocking lock manager with a queryable wait-for graph;
 //! * transactions with `PREPARE TRANSACTION` / `COMMIT PREPARED` (2PC halves);
-//! * a volcano-style executor over the shared `sqlparse` ASTs;
+//! * a volcano-style executor over the shared `sqlparse` ASTs, planning
+//!   each statement once per backend into a cached generic plan;
 //! * extension hooks (planner, utility, transaction callbacks, UDFs,
 //!   background workers) — the exact surface the Citus paper describes in
 //!   §3.1, through which the `citrus` crate changes engine behaviour without
@@ -31,6 +32,7 @@ pub mod index;
 pub mod hooks;
 pub mod lock;
 pub mod plan;
+pub mod plancache;
 pub mod session;
 pub mod storage;
 pub mod txn;

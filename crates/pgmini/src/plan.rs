@@ -155,7 +155,6 @@ pub struct AggStage {
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
     pub input: PlanNode,
-    pub raw_scope: RowScope,
     pub agg: Option<AggStage>,
     /// Bound over post-agg scope when `agg` is set, else raw scope.
     pub having: Option<BExpr>,
@@ -201,7 +200,7 @@ pub fn plan_select(
     for item in &sel.from {
         from_parts.push(plan_table_ref(item, cat, subq, params, &mut arities)?);
     }
-    let (mut node, mut scope) = match from_parts.len() {
+    let (mut node, scope) = match from_parts.len() {
         0 => (
             PlanNode::Materialized { rows: vec![vec![]], arity: 0 },
             RowScope::default(),
@@ -435,10 +434,8 @@ pub fn plan_select(
 
     // ORDER BY in aggregate queries must not leave group scope — the binding
     // above already errors in that case because hidden columns were rewritten.
-    scope_rollup(&mut scope);
     Ok(SelectPlan {
         input: node,
-        raw_scope: scope,
         agg,
         having,
         projection,
@@ -451,9 +448,6 @@ pub fn plan_select(
         for_update,
     })
 }
-
-/// no-op hook point kept for symmetry; scopes are already final.
-fn scope_rollup(_scope: &mut RowScope) {}
 
 /// Projection pushdown over a finished plan tree.
 ///
@@ -558,7 +552,7 @@ fn mark_scan_cols(
 
 fn const_u64(e: &Expr, params: &[Datum]) -> PgResult<u64> {
     let b = bind(e, &RowScope::default(), params)?;
-    let v = crate::expr::eval(&b, &vec![], &crate::expr::EvalCtx::default())?;
+    let v = crate::expr::eval(&b, &vec![], &crate::expr::EvalCtx::with_params(params))?;
     Ok(v.as_i64()?.max(0) as u64)
 }
 

@@ -9,8 +9,9 @@ use crate::dml;
 use crate::engine::Engine;
 use crate::error::{ErrorCode, PgError, PgResult};
 use crate::exec::{self, ExecCtx};
-use crate::expr::{bind, eval, RowScope};
+use crate::expr::{bind, eval, literal_datum, RowScope};
 use crate::lock::{CancelFlag, DistTxnId, LockKey, LockMode, CANCEL_NONE};
+use crate::plancache::{self, GenericPlans, StmtPlan};
 use crate::txn::{Xid, INVALID_XID};
 use crate::types::{Datum, Row};
 use crate::wal::WalRecord;
@@ -85,6 +86,8 @@ pub struct Session {
     /// visibility against the shared commit clock (`TxnManager::snapshot_at`)
     /// instead of this engine's latest local snapshot.
     snapshot_token: Option<u64>,
+    /// This backend's generic plans (see [`crate::plancache`]).
+    plans: GenericPlans,
 }
 
 impl Session {
@@ -103,6 +106,7 @@ impl Session {
             total_cost: SimCost::ZERO,
             stmt_counter: 0,
             snapshot_token: None,
+            plans: GenericPlans::default(),
         }
     }
 
@@ -178,6 +182,12 @@ impl Session {
 
     pub fn snapshot_token(&self) -> Option<u64> {
         self.snapshot_token
+    }
+
+    /// Drop this backend's cached generic plans (PostgreSQL's `DISCARD
+    /// PLANS`); every statement shape plans afresh on its next execution.
+    pub fn discard_plans(&mut self) {
+        self.plans.clear();
     }
 
     // ---------------- statement execution ----------------
@@ -399,7 +409,7 @@ impl Session {
                         return Ok(r);
                     }
                 }
-                self.run_select(sel, params)
+                self.run_planned(stmt, params)
             }
             Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
                 if use_hooks {
@@ -409,7 +419,7 @@ impl Session {
                         }
                     }
                 }
-                self.run_dml(stmt, params)
+                self.run_planned(stmt, params)
             }
         }
     }
@@ -512,16 +522,16 @@ impl Session {
 
     // ---------------- statement bodies ----------------
 
-    fn make_ctx(&mut self) -> ExecCtx<'_> {
+    /// Execution context for one statement on `engine` (this session's
+    /// engine, passed in so the context does not borrow the session).
+    fn make_ctx<'e>(&self, engine: &'e Arc<Engine>) -> ExecCtx<'e> {
         let xid = self.xid.unwrap_or(INVALID_XID);
         let snap = match self.snapshot_token {
-            Some(token) => self.engine.txns.snapshot_at(xid, token),
-            None => self.engine.txns.snapshot(xid),
+            Some(token) => engine.txns.snapshot_at(xid, token),
+            None => engine.txns.snapshot(xid),
         };
         let seed = self.id.wrapping_mul(0x9E37_79B9).wrapping_add(self.stmt_counter);
-        let mut ctx = ExecCtx::new(&self.engine, snap, xid, seed);
-        ctx.cost.add_cpu(self.engine.config.cost.base_plan_ms);
-        ctx
+        ExecCtx::new(engine, snap, xid, seed)
     }
 
     fn finish_ctx(&mut self, cost: SimCost) {
@@ -529,25 +539,31 @@ impl Session {
         self.total_cost.add(&cost);
     }
 
-    fn run_select(
-        &mut self,
-        sel: &sqlparse::ast::Select,
-        params: &[Datum],
-    ) -> PgResult<QueryResult> {
-        let implicit = self.xid.is_none() && sel.for_update;
-        if sel.for_update {
+    /// Plan (or take this backend's generic plan for) a SELECT/INSERT/
+    /// UPDATE/DELETE and run it. Writes and `SELECT .. FOR UPDATE` outside a
+    /// transaction block run in an implicit transaction.
+    fn run_planned(&mut self, stmt: &Statement, params: &[Datum]) -> PgResult<QueryResult> {
+        let locking = match stmt {
+            Statement::Select(sel) => sel.for_update,
+            _ => true,
+        };
+        let implicit = locking && self.xid.is_none();
+        if locking {
             self.ensure_xid()?;
         }
-        let mut ctx = self.make_ctx();
-        let result = exec::execute_select(&mut ctx, sel, params);
+        let engine = self.engine.clone();
+        let mut ctx = self.make_ctx(&engine);
+        let result = self
+            .plan_cached(&mut ctx, stmt, params)
+            .and_then(|plan| plancache::run_plan(&mut ctx, &plan));
         let cost = ctx.cost;
         self.finish_ctx(cost);
         match result {
-            Ok((columns, rows)) => {
+            Ok(r) => {
                 if implicit {
                     self.commit_current()?;
                 }
-                Ok(QueryResult::Rows { columns, rows })
+                Ok(r)
             }
             Err(e) => {
                 if implicit {
@@ -558,32 +574,41 @@ impl Session {
         }
     }
 
-    fn run_dml(&mut self, stmt: &Statement, params: &[Datum]) -> PgResult<QueryResult> {
-        let implicit = self.xid.is_none();
-        self.ensure_xid()?;
-        let mut ctx = self.make_ctx();
-        let result = match stmt {
-            Statement::Insert(ins) => dml::exec_insert(&mut ctx, ins, params),
-            Statement::Update(upd) => dml::exec_update(&mut ctx, upd, params),
-            Statement::Delete(del) => dml::exec_delete(&mut ctx, del, params),
-            _ => Err(PgError::internal("run_dml on non-DML")),
+    /// The statement's plan, and its parameter values in `ctx`. A statement
+    /// with a generic form is looked up in this backend's cache under the
+    /// engine's catalog version; a hit runs the cached plan with the
+    /// statement's own literals and plans nothing. A miss plans the generic
+    /// form and caches it. Statements with no generic form (`$n` parameters
+    /// supplied by the caller, subqueries) plan as they are.
+    fn plan_cached(
+        &mut self,
+        ctx: &mut ExecCtx,
+        stmt: &Statement,
+        params: &[Datum],
+    ) -> PgResult<Arc<StmtPlan>> {
+        let shape = if params.is_empty() { sqlparse::shape::generic_shape(stmt) } else { None };
+        let Some(shape) = shape else {
+            ctx.eval_ctx.params = params.to_vec();
+            return Self::build_plan(ctx, stmt, params).map(Arc::new);
         };
-        let cost = ctx.cost;
-        self.finish_ctx(cost);
-        match result {
-            Ok(n) => {
-                if implicit {
-                    self.commit_current()?;
-                }
-                Ok(QueryResult::Affected(n))
-            }
-            Err(e) => {
-                if implicit {
-                    self.rollback_current();
-                }
-                Err(e)
-            }
+        let version = self.engine.catalog_version();
+        ctx.eval_ctx.params = shape.slots.iter().map(|l| literal_datum(l)).collect();
+        if let Some(plan) = self.plans.lookup(shape.key, version, shape.slots.len()) {
+            ctx.cost.plan_hits += 1;
+            return Ok(plan);
         }
+        let (generic, _) = sqlparse::shape::parameterize(stmt);
+        let slots = ctx.eval_ctx.params.clone();
+        let plan = Arc::new(Self::build_plan(ctx, &generic, &slots)?);
+        self.plans.insert(shape.key, version, slots.len(), plan.clone());
+        Ok(plan)
+    }
+
+    /// One planning pass, charged `base_plan_ms`.
+    fn build_plan(ctx: &mut ExecCtx, stmt: &Statement, params: &[Datum]) -> PgResult<StmtPlan> {
+        ctx.cost.add_cpu(ctx.engine.config.cost.base_plan_ms);
+        ctx.cost.plan_misses += 1;
+        plancache::plan_statement(ctx, stmt, params)
     }
 
     fn run_utility(&mut self, stmt: &Statement) -> PgResult<QueryResult> {
@@ -644,7 +669,9 @@ impl Session {
         let Statement::Select(sel) = inner else {
             return Err(PgError::unsupported("EXPLAIN is supported for SELECT only"));
         };
-        let mut ctx = self.make_ctx();
+        let engine = self.engine.clone();
+        let mut ctx = self.make_ctx(&engine);
+        ctx.eval_ctx.params = params.to_vec();
         let plan = exec::build_select_plan(&mut ctx, sel, params)?;
         let mut lines = Vec::new();
         {
@@ -679,7 +706,7 @@ impl Session {
         let mut columns = Vec::new();
         let mut row = Vec::new();
         let scope = RowScope::default();
-        let ectx = crate::expr::EvalCtx::default();
+        let ectx = crate::expr::EvalCtx::with_params(params);
         for item in &sel.projection {
             let SelectItem::Expr { expr, alias } = item else {
                 return Err(PgError::unsupported("wildcard in UDF select"));
@@ -731,7 +758,10 @@ impl Session {
     ) -> PgResult<u64> {
         let implicit = self.xid.is_none();
         self.ensure_xid()?;
-        let mut ctx = self.make_ctx();
+        let engine = self.engine.clone();
+        let mut ctx = self.make_ctx(&engine);
+        // COPY plans nothing, but keeps its fixed per-statement charge
+        ctx.cost.add_cpu(engine.config.cost.base_plan_ms);
         let result = dml::exec_copy(&mut ctx, table, columns, rows);
         let cost = ctx.cost;
         self.finish_ctx(cost);
@@ -840,6 +870,9 @@ impl Drop for Session {
     fn drop(&mut self) {
         if self.xid.is_some() {
             self.rollback_current();
+        }
+        if let Some(ext) = self.engine.hooks.installed() {
+            ext.session_closed(self.id);
         }
         self.engine.connection_closed();
     }

@@ -6,12 +6,14 @@
 //! single-node engine (`pgmini`) and the distributed layer (`citrus`), which
 //! both consume the same [`ast::Statement`] trees.
 //!
-//! The crate provides three things:
+//! The crate provides four things:
 //!
 //! * [`lexer`] / [`parser`] — SQL text → [`ast::Statement`];
 //! * [`ast`] — the tree the planners rewrite (shard-name substitution);
 //! * [`deparse`] — [`ast::Statement`] → SQL text, used to ship rewritten
-//!   queries to worker nodes over the "wire".
+//!   queries to worker nodes over the "wire";
+//! * [`shape`] — statement shapes with literals parameterized away, the
+//!   keys of the distributed plan cache and of a backend's generic plans.
 //!
 //! ```
 //! use sqlparse::{parse, deparse};
@@ -25,6 +27,7 @@ pub mod deparse;
 pub mod error;
 pub mod lexer;
 pub mod parser;
+pub mod shape;
 
 pub use ast::{Expr, Select, Statement};
 pub use deparse::{deparse, deparse_expr, quote_ident, quote_literal};

@@ -187,6 +187,33 @@ proptest! {
         prop_assert_eq!(parsed, stmt);
     }
 
+    /// The generic-plan key's slot extraction and the rewrite into `$n`
+    /// form walk value positions in the same order: a plan built from the
+    /// rewritten statement reads slot `n` where the key found it.
+    #[test]
+    fn parameterize_matches_generic_slots(s in arb_select(), u in arb_expr()) {
+        let update = Statement::Update(Box::new(Update {
+            table: "t".into(),
+            alias: None,
+            assignments: vec![Assignment { column: "c".into(), value: u.clone() }],
+            where_clause: Some(u),
+        }));
+        for stmt in [s, update] {
+            let g = sqlparse::shape::generic_shape(&stmt).expect("CRUD without subqueries");
+            let slots: Vec<Literal> = g.slots.into_iter().cloned().collect();
+            let (generic, replaced) = sqlparse::shape::parameterize(&stmt);
+            prop_assert_eq!(&slots, &replaced);
+            prop_assert_eq!(
+                sqlparse::shape::generic_shape(&generic).is_none(),
+                !replaced.is_empty(),
+                "slots became $n parameters"
+            );
+            // the key survives the wire: deparse and re-parse hash the same
+            let again = parse(&deparse(&stmt)).unwrap();
+            prop_assert_eq!(sqlparse::shape::generic_shape(&again).map(|g| g.key), Some(g.key));
+        }
+    }
+
     #[test]
     fn lexer_never_panics(s in "\\PC{0,60}") {
         let _ = sqlparse::lexer::lex(&s);
