@@ -68,18 +68,6 @@ pub struct ClusterConfig {
     /// [`crate::trace`]). Metrics counters are always on; span trees are
     /// gated here because they clone statement text and task detail.
     pub tracing: bool,
-    /// Pipelined statement batching (see [`netsim::pipeline`]): a
-    /// statement's per-worker task stream is one wire exchange, and
-    /// consecutive same-worker statements inside a transaction ride one open
-    /// exchange instead of paying a round trip each. Off forces the legacy
-    /// one-RTT-per-statement wire model (the differential suites compare
-    /// both).
-    pub pipeline: bool,
-    /// Execute tasks whose placement lives on the coordinating node directly
-    /// in the client's backend instead of over a loopback connection —
-    /// Citus's local execution, the worker half of MX mode. Off forces every
-    /// task through the connection fabric.
-    pub local_execution: bool,
     /// Distributed snapshot isolation (opt-in; §3.7.4 accepts its absence —
     /// this goes beyond the paper). The coordinator issues a commit-clock
     /// token at distributed-read start, piggybacks it on every fan-out task,
@@ -87,15 +75,6 @@ pub struct ClusterConfig {
     /// local latest snapshot; 2PC publishes one decided timestamp for all
     /// participants, so a multi-node commit becomes visible atomically.
     pub snapshot_isolation: bool,
-    /// Generation-fence MX-pinned transactions against concurrent metadata
-    /// changes (DDL propagation, shard moves): a pinned transaction is
-    /// stamped with the metadata generation it planned against; a
-    /// mid-transaction bump that touched one of its tables aborts it with a
-    /// retryable 40001, a bump elsewhere escalates it to the coordinator
-    /// path, and metadata changes may force-abort local blockers instead of
-    /// waiting forever. Off reverts to the pre-fence behaviour (kept so the
-    /// anomaly demonstrators can show the hang / lost write it prevents).
-    pub mx_fencing: bool,
 }
 
 impl Default for ClusterConfig {
@@ -122,10 +101,7 @@ impl Default for ClusterConfig {
             dist_plan_ms: 0.2,
             cached_plan_ms: 0.02,
             tracing: false,
-            pipeline: true,
-            local_execution: true,
             snapshot_isolation: false,
-            mx_fencing: true,
         }
     }
 }
@@ -514,8 +490,10 @@ impl Cluster {
     }
 }
 
-/// An internal connection from a coordinating node to a worker node,
-/// accounting one RTT per statement executed over it.
+/// An internal connection from a coordinating node to a worker node. Its
+/// callers charge the virtual wire time; the executor charges one round trip
+/// per pipelined exchange, however many statements ride it (see
+/// [`netsim::pipeline`]).
 pub struct WorkerConn {
     pub node: NodeId,
     cluster: Arc<Cluster>,
@@ -896,11 +874,7 @@ impl MxSession {
         let begin = self.pending_begin;
         // stamp before executing so a bump racing the first statement is
         // caught by the next fence window, not silently absorbed
-        let stamp = if begin && self.cluster.config.mx_fencing {
-            Some(self.cluster.metadata.read().generation())
-        } else {
-            None
-        };
+        let stamp = begin.then(|| self.cluster.metadata.read().generation());
         let result = {
             let sess = self.session_for(node)?;
             if begin {
@@ -955,9 +929,6 @@ impl MxSession {
     /// retryable 40001; a bump elsewhere escalates the session to the
     /// coordinator path for the rest of the block and refreshes the stamp.
     fn fence_check(&mut self, stmt: Option<&Statement>) -> PgResult<()> {
-        if !self.cluster.config.mx_fencing {
-            return Ok(());
-        }
         let (Some(node), Some(stamp)) = (self.pinned, self.txn_generation) else {
             return Ok(());
         };

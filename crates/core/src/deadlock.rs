@@ -7,14 +7,14 @@
 //! the paper describes (wound-wait is avoided because PostgreSQL clients are
 //! not expected to retry transactions mid-protocol).
 //!
-//! A second, fence tier (gated on `ClusterConfig::mx_fencing`) breaks the
-//! loopback-DDL stall the cycle search cannot see: an MX fast-path
-//! transaction holds only local locks (no distributed id), so a propagated
-//! DDL statement or a shard move blocked behind it forms *no cycle* — it
-//! just waits forever. The per-worker lock report surfaces those local
-//! holders into the coordinator's wait graph; after a bounded wait (the
-//! engine's `deadlock_timeout`) the distributed waiter wins and the local
-//! holder is force-aborted with a retryable serialization failure.
+//! A second, fence tier breaks the loopback-DDL stall the cycle search
+//! cannot see: an MX fast-path transaction holds only local locks (no
+//! distributed id), so a propagated DDL statement or a shard move blocked
+//! behind it forms *no cycle* — it would just wait forever. The per-worker
+//! lock report surfaces those local holders into the coordinator's wait
+//! graph; after a bounded wait (the engine's `deadlock_timeout`) the
+//! distributed waiter wins and the local holder is force-aborted with a
+//! retryable serialization failure.
 
 use crate::cluster::Cluster;
 use crate::metadata::NodeId;
@@ -83,11 +83,9 @@ pub fn detect_once(cluster: &Arc<Cluster>) -> PgResult<Option<DistTxnId>> {
         // no cycle, or a purely local one each engine resolves itself —
         // but a distributed waiter aged behind a *local* holder is the
         // loopback stall: no cycle ever forms, so fence the holder
-        if cluster.config.mx_fencing {
-            let fenced = fence_aged_local_holders(cluster, &mut span);
-            if fenced > 0 {
-                span.set("fenced_local_holders", fenced);
-            }
+        let fenced = fence_aged_local_holders(cluster, &mut span);
+        if fenced > 0 {
+            span.set("fenced_local_holders", fenced);
         }
         cluster.tracer.record_daemon(span);
         return Ok(None);
@@ -162,9 +160,6 @@ pub fn fence_local_blockers(
     tables: &[String],
     exclude: Option<DistTxnId>,
 ) -> PgResult<u64> {
-    if !cluster.config.mx_fencing {
-        return Ok(0);
-    }
     let engine = cluster.node(node)?.engine();
     let keys: Vec<LockKey> = {
         let cat = engine.catalog.read();

@@ -245,17 +245,63 @@ struct TaskTrace {
     plan_hit: bool,
 }
 
-impl TaskTrace {
-    fn new(target: NodeId, local: bool, cost: &pgmini::cost::SimCost) -> TaskTrace {
-        TaskTrace {
-            target,
-            local,
+/// Per-task bookkeeping of one statement, filled in task order whichever
+/// path (local, fan-out, session thread) ran the task.
+struct TaskLedger {
+    self_node: NodeId,
+    per_node_durations: HashMap<NodeId, Vec<f64>>,
+    results: Vec<QueryResult>,
+    /// Actual remote target per remote task, in task order (failover may
+    /// move a task off `task.node`) — drives the wire-exchange accounting.
+    remote_targets: Vec<u32>,
+    /// Trace rows; only collected when the statement is traced.
+    traces: Vec<TaskTrace>,
+    tracing: bool,
+    retries: u64,
+}
+
+impl TaskLedger {
+    fn new(self_node: NodeId, tasks: usize, tracing: bool) -> TaskLedger {
+        TaskLedger {
+            self_node,
+            per_node_durations: HashMap::new(),
+            results: Vec::with_capacity(tasks),
+            remote_targets: Vec::new(),
+            traces: Vec::new(),
+            tracing,
             retries: 0,
-            backoff_ms: 0.0,
-            service_ms: cost.total_ms(),
-            batches: cost.batches,
-            plan_hit: cost.plan_hits > 0 && cost.plan_misses == 0,
         }
+    }
+
+    /// Book one finished task: its service cost on `target`, its duration
+    /// in that node's slow-start schedule, its trace row and its result.
+    fn record(
+        &mut self,
+        cost: &mut DistCost,
+        (result, task_cost): (QueryResult, pgmini::cost::SimCost),
+        target: NodeId,
+        local: bool,
+        retries: u64,
+        backoff_ms: f64,
+    ) {
+        cost.add_node(target, &task_cost);
+        self.per_node_durations.entry(target).or_default().push(task_cost.total_ms());
+        if target != self.self_node {
+            self.remote_targets.push(target.0);
+        }
+        self.retries += retries;
+        if self.tracing {
+            self.traces.push(TaskTrace {
+                target,
+                local,
+                retries,
+                backoff_ms,
+                service_ms: task_cost.total_ms(),
+                batches: task_cost.batches,
+                plan_hit: task_cost.plan_hits > 0 && task_cost.plan_misses == 0,
+            });
+        }
+        self.results.push(result);
     }
 }
 
@@ -309,37 +355,24 @@ fn execute_plan_inner(
     // clock, failing over to a surviving placement when the target node is
     // down. Writes and in-transaction reads never re-try — a lost reply
     // leaves the remote effect in doubt, which only 2PC recovery may settle.
-    let mut per_node_durations: HashMap<NodeId, Vec<f64>> = HashMap::new();
-    let mut results: Vec<QueryResult> = Vec::with_capacity(plan.tasks.len());
     let full_rtt = cluster.config.engine.cost.net_rtt_ms;
-    let pipelined = cluster.config.pipeline;
-    let local_exec = cluster.config.local_execution;
-    // actual remote target per remote task, in task order (failover may move
-    // a task off task.node) — drives the wire-exchange accounting
-    let mut remote_targets: Vec<u32> = Vec::new();
-    let mut retries_total = 0u64;
-    // per-task trace rows, collected in task order. Fault events attach by
-    // scope.
-    let fault_base = cluster.faults().events_len();
-    let mut task_traces: Vec<TaskTrace> = Vec::new();
     let tracing = state.trace.is_some();
+    let mut ledger = TaskLedger::new(self_node, plan.tasks.len(), tracing);
+    // fault events attach to task spans by scope
+    let fault_base = cluster.faults().events_len();
     // a statement whose single remote target still has the transaction's
     // pipelined exchange open rides it: no new round trip, and no real wire
     // sleep for any of its tasks
     let stmt_remote: Vec<NodeId> = {
         let mut v: Vec<NodeId> = Vec::new();
         for t in &plan.tasks {
-            let local = local_exec && t.node == self_node;
-            if !local && !v.contains(&t.node) {
+            if t.node != self_node && !v.contains(&t.node) {
                 v.push(t.node);
             }
         }
         v
     };
-    let riding = pipelined
-        && in_txn
-        && stmt_remote.len() == 1
-        && state.pipeline.rides(stmt_remote[0].0);
+    let riding = in_txn && stmt_remote.len() == 1 && state.pipeline.rides(stmt_remote[0].0);
     // snapshot token to piggyback on read tasks (writes always run against
     // the worker's latest snapshot — update chains need current versions)
     let token = if plan.is_write { None } else { state.snapshot_token };
@@ -348,90 +381,37 @@ fn execute_plan_inner(
         // code path, deterministic outcomes either way. Tasks whose
         // placement lives on this node run inline in the client's backend
         // (local execution); only remote tasks enter the fan-out.
-        let is_local: Vec<bool> =
-            plan.tasks.iter().map(|t| local_exec && t.node == self_node).collect();
-        let remote_tasks: Vec<Task> = plan
-            .tasks
-            .iter()
-            .zip(&is_local)
-            .filter(|(_, l)| !**l)
-            .map(|(t, _)| t.clone())
-            .collect();
-        let per_task =
-            fan_out_read_tasks(cluster, state, &remote_tasks, pipelined, token, &mut cost)?;
+        let remote_tasks: Vec<Task> =
+            plan.tasks.iter().filter(|t| t.node != self_node).cloned().collect();
+        let per_task = fan_out_read_tasks(cluster, state, &remote_tasks, token, &mut cost)?;
         let mut remote_iter = per_task.into_iter();
-        for (task, local) in plan.tasks.iter().zip(&is_local) {
-            if *local {
-                match run_local_task(cluster, session, task, self_node, token) {
-                    Ok((result, local_cost)) => {
-                        cost.add_node(self_node, &local_cost);
-                        per_node_durations
-                            .entry(self_node)
-                            .or_default()
-                            .push(local_cost.total_ms());
-                        if tracing {
-                            task_traces.push(TaskTrace::new(self_node, true, &local_cost));
-                        }
-                        results.push(result);
-                    }
-                    Err(e) if is_connection_failure(&e) => {
-                        // the local replica died under the read: the failed
-                        // local attempt counts as one retry, then the task
-                        // re-enters the normal read-retry path, which fails
-                        // over to a surviving placement (replicated shards)
-                        // or surfaces the error once attempts run out
-                        let fallback = fan_out_read_tasks(
-                            cluster,
-                            state,
-                            std::slice::from_ref(task),
-                            false,
-                            token,
-                            &mut cost,
-                        )?;
-                        let (result, remote_cost, target, retries, backoff_ms) = fallback
-                            .into_iter()
-                            .next()
-                            .expect("one fallback outcome for one task");
-                        let rtt =
-                            if pipelined || target == self_node { 0.0 } else { full_rtt };
-                        if target != self_node {
-                            remote_targets.push(target.0);
-                        }
-                        retries_total += retries + 1;
-                        cost.add_node(target, &remote_cost);
-                        per_node_durations
-                            .entry(target)
-                            .or_default()
-                            .push(remote_cost.total_ms() + rtt);
-                        if tracing {
-                            task_traces.push(TaskTrace {
-                                retries: retries + 1,
-                                backoff_ms,
-                                ..TaskTrace::new(target, false, &remote_cost)
-                            });
-                        }
-                        results.push(result);
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                let (result, remote_cost, target, retries, backoff_ms) =
+        for task in &plan.tasks {
+            if task.node != self_node {
+                let (outcome, target, retries, backoff_ms) =
                     remote_iter.next().expect("one fan-out outcome per remote task");
-                let rtt = if pipelined || target == self_node { 0.0 } else { full_rtt };
-                if target != self_node {
-                    remote_targets.push(target.0);
+                ledger.record(&mut cost, outcome, target, false, retries, backoff_ms);
+                continue;
+            }
+            match run_local_task(cluster, session, task, self_node, token) {
+                Ok(outcome) => ledger.record(&mut cost, outcome, self_node, true, 0, 0.0),
+                Err(e) if is_connection_failure(&e) => {
+                    // the local replica died under the read: the failed
+                    // local attempt counts as one retry, then the task
+                    // re-enters the normal read-retry path, which fails
+                    // over to a surviving placement (replicated shards)
+                    // or surfaces the error once attempts run out
+                    let fallback = fan_out_read_tasks(
+                        cluster,
+                        state,
+                        std::slice::from_ref(task),
+                        token,
+                        &mut cost,
+                    )?;
+                    let (outcome, target, retries, backoff_ms) =
+                        fallback.into_iter().next().expect("one fallback outcome for one task");
+                    ledger.record(&mut cost, outcome, target, false, retries + 1, backoff_ms);
                 }
-                retries_total += retries;
-                cost.add_node(target, &remote_cost);
-                per_node_durations.entry(target).or_default().push(remote_cost.total_ms() + rtt);
-                if tracing {
-                    task_traces.push(TaskTrace {
-                        retries,
-                        backoff_ms,
-                        ..TaskTrace::new(target, false, &remote_cost)
-                    });
-                }
-                results.push(result);
+                Err(e) => return Err(e),
             }
         }
     } else {
@@ -441,21 +421,15 @@ fn execute_plan_inner(
         let mut wire_paid: Vec<NodeId> = Vec::new();
         for task in &plan.tasks {
             let target = task.node;
-            if local_exec && target == self_node {
+            if target == self_node {
                 // local execution: the task runs in the client's own
                 // backend — same transaction, no connection, no wire
                 let task_token = if task.is_write { None } else { token };
-                let (result, local_cost) =
-                    run_local_task(cluster, session, task, self_node, task_token)?;
+                let outcome = run_local_task(cluster, session, task, self_node, task_token)?;
                 if task.is_write && in_txn {
                     state.local_writes = true;
                 }
-                cost.add_node(target, &local_cost);
-                per_node_durations.entry(target).or_default().push(local_cost.total_ms());
-                if tracing {
-                    task_traces.push(TaskTrace::new(target, true, &local_cost));
-                }
-                results.push(result);
+                ledger.record(&mut cost, outcome, target, true, 0, 0.0);
                 continue;
             }
             let bind_group = if in_txn { task.group } else { None };
@@ -466,11 +440,9 @@ fn execute_plan_inner(
             conn.snapshot_token = if task.is_write { None } else { token };
             // one real wire sleep per worker per statement batch; a
             // statement riding the transaction's open exchange pays none
-            if pipelined {
-                conn.ride_exchange = riding || wire_paid.contains(&target);
-                if !wire_paid.contains(&target) {
-                    wire_paid.push(target);
-                }
+            conn.ride_exchange = riding || wire_paid.contains(&target);
+            if !wire_paid.contains(&target) {
+                wire_paid.push(target);
             }
             let outcome = conn.execute_stmt(&task.stmt);
             conn.fault_scope.clear();
@@ -479,7 +451,7 @@ fn execute_plan_inner(
             if task.is_write {
                 conn.used_for_writes = true;
             }
-            let (result, remote_cost) = match outcome {
+            let outcome = match outcome {
                 Ok(ok) => {
                     state.checkin(key, conn, bind_group);
                     ok
@@ -496,26 +468,18 @@ fn execute_plan_inner(
                     return Err(e);
                 }
             };
-            let rtt = if pipelined || target == self_node { 0.0 } else { full_rtt };
-            if target != self_node {
-                remote_targets.push(target.0);
-            }
-            cost.add_node(target, &remote_cost);
-            per_node_durations.entry(target).or_default().push(remote_cost.total_ms() + rtt);
-            if tracing {
-                task_traces.push(TaskTrace::new(target, false, &remote_cost));
-            }
-            results.push(result);
+            ledger.record(&mut cost, outcome, target, false, 0, 0.0);
         }
     }
+    let TaskLedger { per_node_durations, results, remote_targets, traces, retries, .. } = ledger;
     let any_remote = !remote_targets.is_empty();
     let (plan_hits, plan_misses) = cost
         .per_node
         .values()
         .fold((0, 0), |(h, m), c| (h + c.plan_hits, m + c.plan_misses));
     cluster.metrics.note_local_plans(plan_hits, plan_misses);
-    cluster.note_task_retries(retries_total);
-    state.last_retries = retries_total;
+    cluster.note_task_retries(retries);
+    state.last_retries = retries;
 
     // 4. virtual elapsed time: slow-start schedule per node
     let cores = cluster.config.engine.cores;
@@ -629,41 +593,23 @@ fn execute_plan_inner(
         }
     };
 
-    // network latency. Pipelined: the statement's per-worker task batches
-    // go out as one wire exchange each and overlap — one RTT per statement —
-    // and a statement riding its transaction's open exchange pays none.
-    // Legacy (pipeline off): per-task RTTs entered the durations above, plus
-    // the same one statement RTT.
+    // network latency: the statement's per-worker task batches go out as one
+    // wire exchange each and overlap — one RTT per statement — and a
+    // statement riding its transaction's open exchange pays none
     let batch = netsim::pipeline::plan_batches(&remote_targets);
     let stmt_rtt = if riding || !any_remote { 0.0 } else { full_rtt };
-    if pipelined {
-        if riding {
-            state.pipeline.note_statement(stmt_remote[0].0);
-            cluster.metrics.pipeline_coalesced.fetch_add(
-                remote_targets.len() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        } else {
-            cluster.metrics.pipeline_exchanges.fetch_add(
-                batch.exchanges() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            cluster.metrics.pipeline_coalesced.fetch_add(
-                batch.coalesced() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            if in_txn && any_remote && stmt_remote.len() == 1 {
-                // leave this worker's exchange open for the next statement
-                state.pipeline.note_statement(stmt_remote[0].0);
-            } else if any_remote {
-                // multi-node fan-out is a sync point
-                state.pipeline.sync();
-            }
-            // purely-local statements leave the open exchange untouched
-        }
-        if !in_txn {
-            state.pipeline.sync();
-        }
+    let (exchanges, coalesced) =
+        if riding { (0, remote_targets.len()) } else { (batch.exchanges(), batch.coalesced()) };
+    let m = &cluster.metrics;
+    m.pipeline_exchanges.fetch_add(exchanges as u64, std::sync::atomic::Ordering::Relaxed);
+    m.pipeline_coalesced.fetch_add(coalesced as u64, std::sync::atomic::Ordering::Relaxed);
+    if !in_txn || stmt_remote.len() > 1 {
+        // transaction end and multi-node fan-out are sync points
+        state.pipeline.sync();
+    } else if any_remote {
+        // leave this worker's exchange open for the next statement; a
+        // purely-local statement leaves the open exchange untouched
+        state.pipeline.note_statement(stmt_remote[0].0);
     }
     cost.net_ms += stmt_rtt;
     elapsed += stmt_rtt;
@@ -676,7 +622,7 @@ fn execute_plan_inner(
     if let Some(root) = &mut state.trace {
         root.set("wire", if riding { "pipelined" } else if any_remote { "exchange" } else { "local" });
         let events = cluster.faults().events_since(fault_base);
-        for (i, (t, task)) in task_traces.iter().zip(&plan.tasks).enumerate() {
+        for (i, (t, task)) in traces.iter().zip(&plan.tasks).enumerate() {
             let mut span = crate::trace::Span::new("task")
                 .with("index", i)
                 .with("node", node_label(cluster, t.target))
@@ -718,14 +664,11 @@ fn execute_plan_inner(
             }
             root.child(span);
         }
-        if pipelined && any_remote {
+        if any_remote {
             root.child(
                 crate::trace::Span::new("batch")
-                    .with("exchanges", if riding { 0 } else { batch.exchanges() })
-                    .with(
-                        "coalesced",
-                        if riding { remote_targets.len() } else { batch.coalesced() },
-                    ),
+                    .with("exchanges", exchanges)
+                    .with("coalesced", coalesced),
             );
         }
         for (node, before, after) in &lane_traces {
@@ -764,7 +707,7 @@ fn execute_plan_inner(
         affected: output.2,
         cost,
         peak_connections: peak,
-        retries: retries_total,
+        retries,
     })
 }
 
@@ -798,7 +741,7 @@ fn run_local_task(
     // in the orphan source copy would be silently lost when the source is
     // dropped. Re-check fresh metadata before the write lands (a pure
     // metadata read: no virtual cost, so steady-state fencing is free).
-    if task.is_write && cluster.config.mx_fencing {
+    if task.is_write {
         let meta = cluster.metadata.read_recursive();
         for sid in &task.shards {
             let placed = meta.shard(*sid).map(|s| s.placements.contains(&self_node));
@@ -963,6 +906,10 @@ fn run_read_task(
     }
 }
 
+/// One finished fan-out task: its result and service cost, the node that
+/// finally served it, its retries and its accrued backoff in virtual ms.
+type FannedTask = ((QueryResult, pgmini::cost::SimCost), NodeId, u64, f64);
+
 /// Fan independent read tasks out over the configured executor threads.
 ///
 /// Determinism contract — identical observable effects at any thread count:
@@ -979,10 +926,9 @@ fn fan_out_read_tasks(
     cluster: &Arc<Cluster>,
     state: &mut SessionState,
     tasks: &[Task],
-    pipelined: bool,
     token: Option<u64>,
     cost: &mut DistCost,
-) -> PgResult<Vec<(QueryResult, pgmini::cost::SimCost, NodeId, u64, f64)>> {
+) -> PgResult<Vec<FannedTask>> {
     if tasks.is_empty() {
         return Ok(Vec::new());
     }
@@ -1051,7 +997,7 @@ fn fan_out_read_tasks(
                     max_attempts,
                     fresh(&tasks[i]),
                     true,
-                    pipelined && pos > 0,
+                    pos > 0,
                     token,
                 ));
             }
@@ -1075,7 +1021,7 @@ fn fan_out_read_tasks(
                             max_attempts,
                             fresh(&tasks[i]),
                             true,
-                            pipelined && pos > 0,
+                            pos > 0,
                             token,
                         );
                         slots.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(run);
@@ -1158,8 +1104,8 @@ fn fan_out_read_tasks(
     let mut out = Vec::with_capacity(outcomes.len());
     for o in outcomes.into_iter().flatten() {
         backoff_total += o.backoff_ms;
-        let (result, remote_cost) = o.result.expect("no failures past first_fail check");
-        out.push((result, remote_cost, o.target, o.retries, o.backoff_ms));
+        let outcome = o.result.expect("no failures past first_fail check");
+        out.push((outcome, o.target, o.retries, o.backoff_ms));
     }
     cluster.clock.advance_micros((backoff_total * 1000.0) as u64);
     cost.net_ms += backoff_total;

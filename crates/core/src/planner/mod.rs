@@ -181,9 +181,19 @@ pub fn plan_statement(
         if let Some(plan) = try_router(stmt, meta)? {
             return Ok(Some(plan));
         }
-        // tier 3: logical pushdown
-        if let Some(plan) = pushdown::try_pushdown(stmt, meta, self_node, subplans)? {
-            return Ok(Some(plan));
+        // tier 3: logical pushdown. A co-located join it refuses (say, off
+        // the distribution columns) may still be a join-order shape: fall
+        // through, and surface the pushdown's reason if tier 4 declines too
+        match pushdown::try_pushdown(stmt, meta, self_node, subplans) {
+            Ok(Some(plan)) => return Ok(Some(plan)),
+            Ok(None) => {}
+            Err(e) if e.code == ErrorCode::FeatureNotSupported => {
+                return match join_order::try_join_order(stmt, meta, subplans) {
+                    Ok(Some(plan)) => Ok(Some(plan)),
+                    _ => Err(e),
+                };
+            }
+            Err(e) => return Err(e),
         }
     }
     // tier 4: logical join order (non-co-located joins)

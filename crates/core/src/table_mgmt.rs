@@ -77,22 +77,22 @@ fn resolve_colocation(
             Ok((dt.colocation_id, Some(other.to_string())))
         }
         None => {
-            // automatic co-location by distribution column type (§3.3.2)
+            // automatic co-location by distribution column type (§3.3.2);
+            // when several groups fit, the lowest colocation id wins — the
+            // metadata map's iteration order is not stable across processes
             let coordinator = cluster.node(NodeId(0))?.engine();
-            for dt in meta.tables() {
+            let fits = |dt: &&crate::metadata::DistTable| {
                 if dt.is_reference() || dt.shards.len() != shard_count as usize {
-                    continue;
+                    return false;
                 }
-                let Some((col, _)) = &dt.dist_column else { continue };
-                if let Ok(shell) = coordinator.table_meta(&dt.name) {
-                    if let Some(i) = shell.column_index(col) {
-                        if shell.columns[i].ty == dist_col_type {
-                            return Ok((dt.colocation_id, Some(dt.name.clone())));
-                        }
-                    }
-                }
-            }
-            Ok((0, None)) // caller allocates a fresh id
+                let Some((col, _)) = &dt.dist_column else { return false };
+                coordinator.table_meta(&dt.name).is_ok_and(|shell| {
+                    shell.column_index(col).is_some_and(|i| shell.columns[i].ty == dist_col_type)
+                })
+            };
+            let lowest = meta.tables().filter(fits).min_by_key(|dt| (dt.colocation_id, &dt.name));
+            // no fit: the caller allocates a fresh id
+            Ok(lowest.map_or((0, None), |dt| (dt.colocation_id, Some(dt.name.clone()))))
         }
     }
 }

@@ -494,6 +494,63 @@ fn non_colocated_join_broadcasts() {
     }
 }
 
+/// Two tables in one colocation group joined off their distribution
+/// columns: pushdown refuses the join, so the join-order tier repartitions
+/// it — and the rows match a single-node engine holding the same data.
+#[test]
+fn colocated_tables_joined_off_distribution_columns_match_oracle() {
+    let c = small_cluster(2);
+    let mut s = c.session().unwrap();
+    let oracle = pgmini::engine::Engine::new_default();
+    let mut os = oracle.session().unwrap();
+    let mut both = |sql: &str| {
+        s.execute(sql).unwrap();
+        os.execute(sql).unwrap();
+    };
+    both("CREATE TABLE dim_x (x bigint, label text)");
+    both("CREATE TABLE fact_y (y bigint, x bigint)");
+    both("INSERT INTO dim_x VALUES (1, 'one'), (2, 'two'), (3, 'three')");
+    for y in 0..30i64 {
+        both(&format!("INSERT INTO fact_y VALUES ({y}, {})", y % 4 + 1));
+    }
+    s.execute("SELECT create_distributed_table('dim_x', 'x')").unwrap();
+    s.execute("SELECT create_distributed_table('fact_y', 'y', 'dim_x')").unwrap();
+    {
+        let meta = c.metadata.read();
+        let group = |t: &str| meta.table(t).unwrap().colocation_id;
+        assert_eq!(group("fact_y"), group("dim_x"), "both tables in one colocation group");
+    }
+    for q in [
+        "SELECT d.label, count(*) FROM fact_y f JOIN dim_x d ON f.x = d.x \
+         GROUP BY d.label ORDER BY 1",
+        "SELECT f.y, d.label FROM fact_y f JOIN dim_x d ON f.x = d.x ORDER BY 1",
+    ] {
+        let dist = s.execute(q).unwrap();
+        assert_eq!(planner_of(&c, &mut s), PlannerKind::JoinOrder, "{q}");
+        assert_eq!(dist.rows(), os.execute(q).unwrap().rows(), "results diverge for {q}");
+    }
+}
+
+/// Automatic co-location is deterministic: when several colocation groups
+/// fit a new table's shard count and distribution type, it joins the lowest
+/// one, in every fresh cluster.
+#[test]
+fn auto_colocation_picks_the_lowest_matching_group() {
+    for _ in 0..8 {
+        let c = small_cluster(2);
+        let mut s = c.session().unwrap();
+        for (table, colocate) in [("a", "default"), ("b", "none"), ("c", "default")] {
+            s.execute(&format!("CREATE TABLE {table} (k bigint, v bigint)")).unwrap();
+            s.execute(&format!("SELECT create_distributed_table('{table}', 'k', '{colocate}')"))
+                .unwrap();
+        }
+        let meta = c.metadata.read();
+        let group = |t: &str| meta.table(t).unwrap().colocation_id;
+        assert!(group("a") < group("b"), "'none' opens a fresh group");
+        assert_eq!(group("c"), group("a"), "the lowest matching group wins");
+    }
+}
+
 #[test]
 fn distributed_deadlock_detected_and_cancelled() {
     let c = saas_cluster();

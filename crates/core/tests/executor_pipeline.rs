@@ -1,42 +1,35 @@
-//! Differential wall for the two executor fast paths: pipelined statement
-//! batching and local execution (the worker half of MX mode).
+//! Wall for the two executor fast paths: pipelined statement batching and
+//! local execution (the worker half of MX mode).
 //!
-//! The contract: both fast paths change *where wire time is spent*, never
-//! what a statement returns. Every test here runs the same statement stream
-//! with the fast paths on (the default) and force-disabled (the legacy
-//! one-RTT-per-task model), at 1 and 8 executor threads, and demands:
+//! Both fast paths change *where wire time is spent*, never what a
+//! statement returns; the result side of that contract is checked against
+//! the single-node oracle by `oracle_differential.rs` (BEGIN/COMMIT-grouped
+//! streams at 1 and 8 executor threads). This suite pins the wire side:
 //!
-//! * identical rows, affected counts, and final table state across all four
-//!   runs;
-//! * identical virtual costs and byte-identical trace fingerprints across
-//!   thread counts *within* each mode (§3.6 determinism);
-//! * strictly lower virtual cost in pipelined mode for multi-statement
-//!   remote transactions — so force-disabling the fast path into divergence
-//!   makes this suite fail, not silently pass;
+//! * golden per-statement wire accounting — the trace's `wire=` attribute,
+//!   the exchange/coalesced counter deltas, and net time in whole round
+//!   trips — so a change that stops coalescing (or starts charging riding
+//!   statements) fails here;
 //! * clean per-statement fallback when a fault plan errors or crashes a
-//!   node mid-batch.
+//!   node mid-batch;
+//! * MX sessions executing routed tasks in the worker backend.
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::metadata::NodeId;
 use netsim::fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
 use pgmini::error::ErrorCode;
-use pgmini::session::QueryResult;
 use pgmini::types::Datum;
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 const SEED_ROWS: i64 = 16;
 
-/// 2 workers, 8 shards, `t(k, v)` seeded — with the fast paths on or off.
-fn build(threads: usize, fast: bool, tracing: bool) -> Arc<Cluster> {
+/// 2 workers, 8 shards, `t(k, v)` seeded.
+fn build(threads: usize, tracing: bool) -> Arc<Cluster> {
     let mut cfg = ClusterConfig::default();
     cfg.shard_count = 8;
     cfg.executor_threads = threads;
     cfg.tracing = tracing;
-    cfg.pipeline = fast;
-    cfg.local_execution = fast;
     let c = Cluster::new(cfg);
     for _ in 0..2 {
         c.add_worker().unwrap();
@@ -50,334 +43,129 @@ fn build(threads: usize, fast: bool, tracing: bool) -> Arc<Cluster> {
     c
 }
 
-type Op = (u8, i64, i64);
-
-fn op_sql(op: &Op, index: usize) -> (String, bool /* ordered */, bool /* write */) {
-    let (kind, a, b) = *op;
-    let key = a.rem_euclid(2 * SEED_ROWS);
-    match kind % 7 {
-        0 => (format!("INSERT INTO t VALUES ({}, {b})", 100 + index as i64), false, true),
-        1 => (format!("UPDATE t SET v = {b} WHERE k = {key}"), false, true),
-        2 => (format!("DELETE FROM t WHERE k = {key}"), false, true),
-        3 => (format!("SELECT v FROM t WHERE k = {key}"), false, false),
-        4 => ("SELECT count(*), sum(v) FROM t".to_string(), false, false),
-        5 => ("SELECT v, count(*) FROM t GROUP BY v".to_string(), false, false),
-        _ => ("SELECT k, v FROM t ORDER BY k LIMIT 5".to_string(), true, false),
-    }
-}
-
-/// Statement stream with transaction grouping: ops are chunked in threes and
-/// chunk `i` is wrapped in BEGIN/COMMIT when bit `i` of `txn_mask` is set —
-/// multi-statement transactions are where exchange-riding coalescing lives.
-fn stream(ops: &[Op], txn_mask: u32) -> Vec<(String, bool, bool)> {
-    let mut out = Vec::new();
-    for (chunk_idx, chunk) in ops.chunks(3).enumerate() {
-        let txn = chunk.len() > 1 && txn_mask & (1 << (chunk_idx % 32)) != 0;
-        if txn {
-            out.push(("BEGIN".to_string(), false, false));
-        }
-        for (j, op) in chunk.iter().enumerate() {
-            out.push(op_sql(op, chunk_idx * 3 + j));
-        }
-        if txn {
-            out.push(("COMMIT".to_string(), false, false));
-        }
-    }
-    out
-}
-
-fn datum_key(d: &Datum) -> String {
-    if let Ok(i) = d.as_i64() {
-        return i.to_string();
-    }
-    if let Ok(f) = d.as_f64() {
-        if f.fract() == 0.0 && f.abs() < 1e15 {
-            return (f as i64).to_string();
-        }
-        return format!("{f}");
-    }
-    format!("{d:?}")
-}
-
-fn row_keys(r: &QueryResult, ordered: bool) -> Vec<String> {
-    let mut keys: Vec<String> = r
-        .rows()
-        .iter()
-        .map(|row| row.iter().map(datum_key).collect::<Vec<_>>().join(","))
-        .collect();
-    if !ordered {
-        keys.sort();
-    }
-    keys
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Out {
-    Rows(Vec<String>),
-    Affected(u64),
-    Control,
-}
-
-/// One full run of a statement stream: per-statement outcomes, the summed
-/// virtual elapsed time, the final table state, and the trace fingerprint.
-struct RunResult {
-    outcomes: Vec<Out>,
-    elapsed_ms: f64,
-    final_state: Vec<String>,
-    fingerprint: u64,
-}
-
-fn run_stream(
-    threads: usize,
-    fast: bool,
-    stmts: &[(String, bool, bool)],
-) -> Result<RunResult, TestCaseError> {
-    let c = build(threads, fast, true);
-    let mut s = c.session().unwrap();
-    let mut outcomes = Vec::new();
-    let mut elapsed_ms = 0.0;
-    for (sql, ordered, write) in stmts {
-        let r = s.execute(sql).map_err(|e| {
-            TestCaseError::fail(format!("fast={fast} threads={threads} `{sql}`: {e:?}"))
-        })?;
-        if sql == "BEGIN" {
-            outcomes.push(Out::Control);
-            continue; // last_dist_cost is stale until a statement runs
-        }
-        elapsed_ms += s.last_dist_cost().elapsed_ms;
-        outcomes.push(match (sql.as_str(), write) {
-            ("COMMIT", _) => Out::Control,
-            (_, true) => Out::Affected(r.affected()),
-            (_, false) => Out::Rows(row_keys(&r, *ordered)),
-        });
-    }
-    let final_state = row_keys(&s.execute("SELECT k, v FROM t").unwrap(), false);
-    let renders: Vec<String> = c.tracer.statements().iter().map(|t| t.render()).collect();
-    Ok(RunResult {
-        outcomes,
-        elapsed_ms,
-        final_state,
-        fingerprint: citrus::trace::fingerprint_str(&renders.join("\n")),
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The four-way differential: fast and legacy modes at 1 and 8 threads
-    /// agree on every result; each mode is cost- and trace-deterministic
-    /// across thread counts; and the fast paths never cost more.
-    #[test]
-    fn fast_paths_are_invisible_to_results(
-        ops in prop::collection::vec((0..7u8, 0..64i64, -50..50i64), 1..12),
-        txn_mask in any::<u32>(),
-    ) {
-        let stmts = stream(&ops, txn_mask);
-        let fast1 = run_stream(1, true, &stmts)?;
-        let fast8 = run_stream(8, true, &stmts)?;
-        let legacy1 = run_stream(1, false, &stmts)?;
-        let legacy8 = run_stream(8, false, &stmts)?;
-
-        // results are mode- and thread-invisible
-        prop_assert_eq!(&fast1.outcomes, &legacy1.outcomes, "fast vs legacy outcomes");
-        prop_assert_eq!(&fast1.outcomes, &fast8.outcomes, "fast thread-count outcomes");
-        prop_assert_eq!(&legacy1.outcomes, &legacy8.outcomes, "legacy thread-count outcomes");
-        prop_assert_eq!(&fast1.final_state, &legacy1.final_state, "final table state");
-        prop_assert_eq!(&fast1.final_state, &fast8.final_state, "fast final state");
-
-        // §3.6 determinism: virtual cost and trace bytes ignore parallelism
-        prop_assert_eq!(fast1.elapsed_ms, fast8.elapsed_ms, "fast cost thread-invariant");
-        prop_assert_eq!(legacy1.elapsed_ms, legacy8.elapsed_ms, "legacy cost thread-invariant");
-        prop_assert_eq!(fast1.fingerprint, fast8.fingerprint, "fast trace thread-invariant");
-        prop_assert_eq!(legacy1.fingerprint, legacy8.fingerprint, "legacy trace thread-invariant");
-
-        // batching can only remove wire time, never add it
-        prop_assert!(
-            fast1.elapsed_ms <= legacy1.elapsed_ms + 1e-9,
-            "pipelined cost {} exceeds per-statement cost {}",
-            fast1.elapsed_ms,
-            legacy1.elapsed_ms
-        );
-    }
-}
-
-/// Distributed execute with bounded client re-submission for reads whose
-/// executor retries were exhausted by the fault plan.
-fn execute_with_resubmit(
-    s: &mut citrus::cluster::ClientSession,
-    sql: &str,
-    write: bool,
-) -> Result<QueryResult, TestCaseError> {
-    let mut last = None;
-    for _ in 0..12 {
-        match s.execute(sql) {
-            Ok(r) => return Ok(r),
-            Err(e) if !write && e.code == ErrorCode::ConnectionFailure => last = Some(e),
-            Err(e) => return Err(TestCaseError::fail(format!("`{sql}` failed: {e:?}"))),
-        }
-    }
-    Err(TestCaseError::fail(format!("`{sql}` still failing after 12 attempts: {last:?}")))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Seeded fault plan (read errors absorbed by executor retries, latency
-    /// everywhere): fault draws are keyed, not arrival-ordered, so both
-    /// modes see the same failures and still agree on every result.
-    #[test]
-    fn fault_plans_do_not_open_divergence(
-        seed in any::<u64>(),
-        ops in prop::collection::vec((0..7u8, 0..64i64, -50..50i64), 1..10),
-    ) {
-        let plan = || {
-            FaultPlan::new()
-                .with(
-                    FaultRule::new(FaultOp::Statement, FaultKind::Error)
-                        .with_tag("select")
-                        .always()
-                        .with_probability(0.2),
-                )
-                .with(
-                    FaultRule::new(FaultOp::Statement, FaultKind::Latency(2.0))
-                        .always()
-                        .with_probability(0.25),
-                )
-        };
-        let mut results = Vec::new();
-        for fast in [true, false] {
-            let c = build(2, fast, false);
-            c.install_faults(plan(), seed);
-            let mut s = c.session().unwrap();
-            let mut outcomes = Vec::new();
-            for (i, op) in ops.iter().enumerate() {
-                let (sql, ordered, write) = op_sql(op, i);
-                let r = execute_with_resubmit(&mut s, &sql, write)?;
-                outcomes.push(if write {
-                    Out::Affected(r.affected())
-                } else {
-                    Out::Rows(row_keys(&r, ordered))
-                });
-            }
-            let fin = row_keys(&execute_with_resubmit(&mut s, "SELECT k, v FROM t", false)?, false);
-            results.push((outcomes, fin));
-        }
-        prop_assert_eq!(&results[0].0, &results[1].0, "outcomes under faults");
-        prop_assert_eq!(&results[0].1, &results[1].1, "final state under faults");
-    }
-}
-
-/// The force-disable detector: a multi-statement single-shard transaction
-/// and a multi-shard scan must be strictly cheaper pipelined than with the
-/// legacy one-RTT-per-statement wire model, and their trace shapes must
-/// differ (wire= and batch spans). If someone turns the fast path off — or
-/// breaks its accounting so it silently stops coalescing — this fails.
+/// Golden wire accounting for a multi-statement single-shard transaction
+/// and a multi-shard scan, on a session whose worker connections are
+/// already pooled (so net time is round trips only). Per statement: the
+/// trace's `wire=` attribute (`None` when the statement left no trace), the
+/// deltas of `Metrics::pipeline_exchanges` and `pipeline_coalesced`, and
+/// `net_ms` in whole `net_rtt_ms` units.
+///
+/// The first in-transaction statement opens one exchange and pays two round
+/// trips (the remote BEGIN, then the statement); the three that follow ride
+/// it for free; the 8-task scan collapses to one exchange per worker under
+/// one round trip. If the open exchange stops being ridden, the riding rows
+/// turn into `exchange` rows that each pay a round trip, and this fails.
 #[test]
-fn pipelining_strictly_beats_per_statement_wire_cost() {
-    let txn: Vec<(String, bool, bool)> = vec![
-        ("BEGIN".into(), false, false),
-        ("SELECT v FROM t WHERE k = 1".into(), false, false),
-        ("UPDATE t SET v = v + 1 WHERE k = 1".into(), false, true),
-        ("SELECT v FROM t WHERE k = 1".into(), false, false),
-        ("UPDATE t SET v = v + 1 WHERE k = 1".into(), false, true),
-        ("COMMIT".into(), false, false),
-        // multi-shard: 8 shard tasks collapse to one exchange per worker
-        ("SELECT count(*), sum(v) FROM t".into(), false, false),
+fn pipelined_wire_accounting_matches_golden() {
+    #[rustfmt::skip]
+    let golden: [(&str, Option<&str>, u64, u64, u32); 7] = [
+        ("BEGIN",                              None,              0, 0, 0),
+        ("SELECT v FROM t WHERE k = 1",        Some("exchange"),  1, 0, 2),
+        ("UPDATE t SET v = v + 1 WHERE k = 1", Some("pipelined"), 0, 1, 0),
+        ("SELECT v FROM t WHERE k = 1",        Some("pipelined"), 0, 1, 0),
+        ("UPDATE t SET v = v + 1 WHERE k = 1", Some("pipelined"), 0, 1, 0),
+        ("COMMIT",                             None,              0, 0, 1),
+        ("SELECT count(*), sum(v) FROM t",     Some("exchange"),  2, 6, 1),
     ];
-    let fast = run_stream(1, true, &txn).unwrap();
-    let legacy = run_stream(1, false, &txn).unwrap();
-    assert_eq!(fast.outcomes, legacy.outcomes);
-    assert!(
-        fast.elapsed_ms < legacy.elapsed_ms,
-        "pipelined cost {:.3}ms must be strictly below per-statement cost {:.3}ms",
-        fast.elapsed_ms,
-        legacy.elapsed_ms
-    );
-    assert_ne!(
-        fast.fingerprint, legacy.fingerprint,
-        "pipelined traces must carry the wire=/batch evidence"
-    );
+    let c = build(1, true);
+    let mut s = c.session().unwrap();
+    // pool one connection per worker, and drain that statement's cost
+    s.execute("SELECT count(*) FROM t").unwrap();
+    s.last_dist_cost();
+    let rtt = c.config.engine.cost.net_rtt_ms;
+    let counters = || {
+        (
+            c.metrics.pipeline_exchanges.load(Ordering::Relaxed),
+            c.metrics.pipeline_coalesced.load(Ordering::Relaxed),
+        )
+    };
+    for (sql, wire, exchanges, coalesced, rtts) in golden {
+        let traced = c.tracer.statements().len();
+        let (ex0, co0) = counters();
+        s.execute(sql).unwrap();
+        let (ex1, co1) = counters();
+        let traces = c.tracer.statements();
+        let got_wire = traces[traced..].last().and_then(|t| t.field("wire").map(str::to_string));
+        let net_ms = s.last_dist_cost().net_ms;
+        assert_eq!(got_wire.as_deref(), wire, "`{sql}`: wire= attribute");
+        assert_eq!(ex1 - ex0, exchanges, "`{sql}`: exchanges opened");
+        assert_eq!(co1 - co0, coalesced, "`{sql}`: tasks coalesced");
+        assert_eq!(net_ms, f64::from(rtts) * rtt, "`{sql}`: net_ms in round trips");
+    }
 }
 
 /// Mid-batch statement error inside a pipelined transaction: the statement
 /// fails cleanly, ROLLBACK discards the transaction's writes, and the
 /// session (its exchange re-synced by the per-statement fallback) keeps
-/// working — identically in both wire modes.
+/// working.
 #[test]
 fn mid_batch_error_falls_back_cleanly() {
-    for fast in [true, false] {
-        let c = build(1, fast, false);
-        let mut s = c.session().unwrap();
-        // one-shot, pinned to the shard holding k=1: the in-transaction read
-        // of that shard dies mid-batch (scoping keeps the shot off the
-        // transaction-id assignment RPC, which is also a tagged select)
-        let shard_scope = {
-            let meta = c.metadata.read();
-            let b = meta.shard_index_for_value("t", &Datum::Int(1)).unwrap();
-            format!("s{}", meta.table("t").unwrap().shards[b].0)
-        };
-        let inj = c.install_faults(
-            FaultPlan::new().with(
-                FaultRule::new(FaultOp::Statement, FaultKind::Error)
-                    .with_tag("select")
-                    .scoped_to(&shard_scope),
-            ),
-            0,
-        );
-        s.execute("BEGIN").unwrap();
-        s.execute("UPDATE t SET v = v + 100 WHERE k = 1").unwrap();
-        let err = s.execute("SELECT v FROM t WHERE k = 1").unwrap_err();
-        assert_eq!(err.code, ErrorCode::ConnectionFailure, "fast={fast}");
-        assert_eq!(inj.fired(), 1, "fast={fast}");
-        s.execute("ROLLBACK").unwrap();
+    let c = build(1, false);
+    let mut s = c.session().unwrap();
+    // one-shot, pinned to the shard holding k=1: the in-transaction read of
+    // that shard dies mid-batch (scoping keeps the shot off the
+    // transaction-id assignment RPC, which is also a tagged select)
+    let shard_scope = {
+        let meta = c.metadata.read();
+        let b = meta.shard_index_for_value("t", &Datum::Int(1)).unwrap();
+        format!("s{}", meta.table("t").unwrap().shards[b].0)
+    };
+    let inj = c.install_faults(
+        FaultPlan::new().with(
+            FaultRule::new(FaultOp::Statement, FaultKind::Error)
+                .with_tag("select")
+                .scoped_to(&shard_scope),
+        ),
+        0,
+    );
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE t SET v = v + 100 WHERE k = 1").unwrap();
+    let err = s.execute("SELECT v FROM t WHERE k = 1").unwrap_err();
+    assert_eq!(err.code, ErrorCode::ConnectionFailure);
+    assert_eq!(inj.fired(), 1);
+    s.execute("ROLLBACK").unwrap();
 
-        // the aborted transaction left nothing behind
-        let r = s.execute("SELECT v FROM t WHERE k = 1").unwrap();
-        assert_eq!(r.rows()[0][0], Datum::Int(10), "fast={fast}: update must be rolled back");
+    // the aborted transaction left nothing behind
+    let r = s.execute("SELECT v FROM t WHERE k = 1").unwrap();
+    assert_eq!(r.rows()[0][0], Datum::Int(10), "update must be rolled back");
 
-        // and the session still pipelines fresh transactions
-        s.execute("BEGIN").unwrap();
-        s.execute("UPDATE t SET v = v + 1 WHERE k = 1").unwrap();
-        s.execute("COMMIT").unwrap();
-        let r = s.execute("SELECT v FROM t WHERE k = 1").unwrap();
-        assert_eq!(r.rows()[0][0], Datum::Int(11), "fast={fast}: post-fault txn commits");
-    }
+    // and the session still pipelines fresh transactions
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE t SET v = v + 1 WHERE k = 1").unwrap();
+    s.execute("COMMIT").unwrap();
+    let r = s.execute("SELECT v FROM t WHERE k = 1").unwrap();
+    assert_eq!(r.rows()[0][0], Datum::Int(11), "post-fault txn commits");
 }
 
-/// Mid-batch node crash on a replicated read: the executor fails over to a
-/// surviving placement inside the batch and answers identically in both
-/// wire modes.
+/// Mid-batch node crash on a replicated read: the coordinator's local
+/// replica dies under the locally executed task, and the executor fails
+/// over to a surviving placement inside the batch — answering exactly what
+/// the healthy cluster answered.
 #[test]
 fn mid_batch_crash_fails_over_identically() {
-    let mut answers = Vec::new();
-    for fast in [true, false] {
-        let mut cfg = ClusterConfig::default();
-        cfg.shard_count = 8;
-        cfg.executor_threads = 1;
-        cfg.pipeline = fast;
-        cfg.local_execution = fast;
-        let c = Cluster::new(cfg);
-        for _ in 0..2 {
-            c.add_worker().unwrap();
-        }
-        let mut s = c.session().unwrap();
-        s.execute("CREATE TABLE r (id bigint PRIMARY KEY, label text)").unwrap();
-        s.execute("SELECT create_reference_table('r')").unwrap();
-        s.execute("INSERT INTO r VALUES (1, 'a'), (2, 'b'), (3, 'c')").unwrap();
-        let inj = c.install_faults(
-            FaultPlan::new().with(
-                FaultRule::new(FaultOp::Statement, FaultKind::Crash)
-                    .on_node(0)
-                    .with_tag("select"),
-            ),
-            0,
-        );
-        let r = s.execute("SELECT count(*) FROM r").unwrap();
-        assert_eq!(inj.fired(), 1, "fast={fast}");
-        assert!(!c.node(NodeId(0)).unwrap().is_active(), "fast={fast}: replica crashed");
-        answers.push(row_keys(&r, false));
+    let mut cfg = ClusterConfig::default();
+    cfg.shard_count = 8;
+    cfg.executor_threads = 1;
+    let c = Cluster::new(cfg);
+    for _ in 0..2 {
+        c.add_worker().unwrap();
     }
-    assert_eq!(answers[0], answers[1], "failover rows agree across wire modes");
+    let mut s = c.session().unwrap();
+    s.execute("CREATE TABLE r (id bigint PRIMARY KEY, label text)").unwrap();
+    s.execute("SELECT create_reference_table('r')").unwrap();
+    s.execute("INSERT INTO r VALUES (1, 'a'), (2, 'b'), (3, 'c')").unwrap();
+    let healthy = s.execute("SELECT count(*) FROM r").unwrap();
+    let inj = c.install_faults(
+        FaultPlan::new().with(
+            FaultRule::new(FaultOp::Statement, FaultKind::Crash).on_node(0).with_tag("select"),
+        ),
+        0,
+    );
+    let r = s.execute("SELECT count(*) FROM r").unwrap();
+    assert_eq!(inj.fired(), 1);
+    assert!(!c.node(NodeId(0)).unwrap().is_active(), "replica crashed");
+    assert_eq!(r.rows(), healthy.rows(), "failover answers what the healthy cluster did");
+    assert_eq!(healthy.rows()[0][0], Datum::Int(3));
 }
 
 /// The MX half: a routed tenant transaction plans, executes, and commits on
@@ -385,7 +173,7 @@ fn mid_batch_crash_fails_over_identically() {
 /// worker's tasks run in the client backend via local execution.
 #[test]
 fn mx_sessions_stay_off_the_coordinator() {
-    let c = build(2, true, false);
+    let c = build(2, false);
     let mut mx = c.mx_session();
     mx.execute("BEGIN").unwrap();
     for sql in [
@@ -413,3 +201,4 @@ fn mx_sessions_stay_off_the_coordinator() {
     assert_eq!(mx.escalated, 1);
     assert_eq!(mx.last_node(), NodeId(0));
 }
+

@@ -11,9 +11,8 @@
 //! * a bump elsewhere **escalates** the session to the coordinator path
 //!   mid-flight and the transaction commits;
 //! * propagated TRUNCATE/DROP and shard moves never **wait** forever behind
-//!   an idle-in-transaction holder — the bounded-wait fence tier aborts the
-//!   holder instead (the pre-fix hang is kept below as a negative
-//!   demonstrator with `mx_fencing` off);
+//!   an idle-in-transaction holder — no wait-for cycle ever forms there, so
+//!   the bounded-wait fence tier aborts the holder instead;
 //! * the fence is free in steady state: zero counter movement when no
 //!   metadata change lands inside an open transaction.
 //!
@@ -28,19 +27,18 @@ use citrus::metadata::NodeId;
 use citrus::{ha, interleave, rebalancer};
 use pgmini::error::ErrorCode;
 use pgmini::types::Datum;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 const SEED_ROWS: i64 = 8;
 
 /// 2 workers, 8 shards, `t(k, v)` and `bystander(k, v)` distributed and
-/// seeded — fencing on or off, any executor thread count.
-fn build(mx_fencing: bool, threads: usize, tracing: bool) -> Arc<Cluster> {
+/// seeded — any executor thread count.
+fn build(threads: usize, tracing: bool) -> Arc<Cluster> {
     let mut cfg = ClusterConfig::default();
     cfg.shard_count = 8;
     cfg.executor_threads = threads;
-    cfg.mx_fencing = mx_fencing;
     cfg.tracing = tracing;
     let c = Cluster::new(cfg);
     c.add_worker().unwrap();
@@ -78,7 +76,7 @@ fn cell_i64(c: &Arc<Cluster>, sql: &str) -> i64 {
 /// abort-retry leg of the escalation contract.
 #[test]
 fn conflicting_ddl_fences_open_txn_with_retryable_40001() {
-    let c = build(true, 2, false);
+    let c = build(2, false);
     let mut mx = c.mx_session();
     mx.execute("BEGIN").unwrap();
     mx.execute("INSERT INTO t VALUES (100, 1)").unwrap();
@@ -109,7 +107,7 @@ fn conflicting_ddl_fences_open_txn_with_retryable_40001() {
 /// statement but before COMMIT must not commit the stale transaction.
 #[test]
 fn fence_fires_at_commit_when_bump_lands_after_last_statement() {
-    let c = build(true, 2, false);
+    let c = build(2, false);
     let mut mx = c.mx_session();
     mx.execute("BEGIN").unwrap();
     mx.execute("INSERT INTO t VALUES (101, 7)").unwrap();
@@ -132,7 +130,7 @@ fn fence_fires_at_commit_when_bump_lands_after_last_statement() {
 /// transaction) and the transaction commits.
 #[test]
 fn nonconflicting_ddl_escalates_midtxn_and_commits() {
-    let c = build(true, 2, false);
+    let c = build(2, false);
     let mut mx = c.mx_session();
     mx.execute("BEGIN").unwrap();
     mx.execute("INSERT INTO t VALUES (200, 1)").unwrap();
@@ -158,7 +156,7 @@ fn nonconflicting_ddl_escalates_midtxn_and_commits() {
 /// *new* placement. No write is lost or duplicated.
 #[test]
 fn shard_move_fences_pinned_txn_and_retry_lands_on_new_placement() {
-    let c = build(true, 2, false);
+    let c = build(2, false);
     let k = 3i64;
     let (bucket, from) = {
         let meta = c.metadata.read();
@@ -201,7 +199,7 @@ fn shard_move_fences_pinned_txn_and_retry_lands_on_new_placement() {
 /// fence exists for. Release, complete the DDL, retry the transaction.
 #[test]
 fn frozen_ddl_window_fences_inside_the_propagation_gap() {
-    let c = build(true, 2, false);
+    let c = build(2, false);
     let mut mx = c.mx_session();
     mx.execute("BEGIN").unwrap();
     mx.execute("INSERT INTO t VALUES (300, 1)").unwrap();
@@ -234,7 +232,7 @@ fn frozen_ddl_window_fences_inside_the_propagation_gap() {
 /// re-pins against the promoted engine.
 #[test]
 fn pinned_worker_failover_surfaces_lost_before_commit_then_repins() {
-    let c = build(true, 2, false);
+    let c = build(2, false);
     let mut mx = c.mx_session();
     mx.execute("BEGIN").unwrap();
     mx.execute("INSERT INTO t VALUES (400, 1)").unwrap();
@@ -260,83 +258,34 @@ fn pinned_worker_failover_surfaces_lost_before_commit_then_repins() {
     assert_eq!(aborts(&c), 0, "failover is not a fence event");
 }
 
-/// KEPT NEGATIVE DEMONSTRATOR (pre-fix hang): with `mx_fencing` off, a
-/// propagated TRUNCATE blocks forever behind an idle-in-transaction MX
-/// holder. The holder is not *waiting*, so no wait-for cycle ever forms and
-/// the deadlock detector is structurally blind to the stall — only the
-/// bounded-wait fence tier (disabled here) breaks it. The fencing-on arm
-/// shows the same interleaving completing within the bounded wait.
+/// A propagated TRUNCATE behind an idle-in-transaction MX holder. The
+/// holder is not *waiting*, so no wait-for cycle ever forms and the
+/// deadlock detector's cycle search is structurally blind to the stall;
+/// the bounded-wait fence breaks it instead: the TRUNCATE completes, the
+/// holder is aborted rather than waited out, and its write is gone.
 #[test]
-fn demonstrator_without_fencing_truncate_hangs_behind_idle_mx_holder() {
-    let c = build(false, 2, false);
+fn truncate_fences_idle_mx_holder_without_a_wait_cycle() {
+    let c = build(2, false);
     let mut mx = c.mx_session();
     mx.execute("BEGIN").unwrap();
     mx.execute("INSERT INTO t VALUES (500, 1)").unwrap();
 
-    let done = Arc::new(AtomicBool::new(false));
-    let (c2, done2) = (c.clone(), done.clone());
-    let truncate = std::thread::spawn(move || {
-        let mut s = c2.session().unwrap();
-        let r = s.execute("TRUNCATE t");
-        done2.store(true, Ordering::SeqCst);
-        r
-    });
-
-    // 6x the engines' deadlock_timeout: ample for any bounded-wait path
-    std::thread::sleep(Duration::from_millis(300));
-    assert!(
-        !done.load(Ordering::SeqCst),
-        "pre-fix anomaly gone: TRUNCATE no longer blocks behind the idle holder"
-    );
+    let started = std::time::Instant::now();
+    let c2 = c.clone();
+    let truncate = std::thread::spawn(move || c2.session().unwrap().execute("TRUNCATE t"));
     // the detector finds no cycle: the holder is idle, not waiting
     assert!(citrus::deadlock::detect_once(&c).unwrap().is_none());
-    assert!(!done.load(Ordering::SeqCst), "detector must not have broken the stall");
-
-    // only the holder finishing releases the propagation
-    mx.execute("COMMIT").unwrap();
     truncate.join().unwrap().unwrap();
-    assert_eq!(aborts(&c), 0, "nothing fences with the tier disabled");
-
-    // contrast arm: with fencing on, the same interleaving completes within
-    // the bounded wait — the holder is aborted, not waited out
-    let c = build(true, 2, false);
-    let mut mx = c.mx_session();
-    mx.execute("BEGIN").unwrap();
-    mx.execute("INSERT INTO t VALUES (500, 1)").unwrap();
-    let started = std::time::Instant::now();
-    let mut s = c.session().unwrap();
-    s.execute("TRUNCATE t").unwrap();
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "bounded-wait fence took {:?}",
         started.elapsed()
     );
+    assert_eq!(c.metrics.deadlock_victims.load(Ordering::Relaxed), 0, "no cycle to break");
     assert!(aborts(&c) >= 1, "the idle holder must have been fenced");
     let err = mx.execute("COMMIT").unwrap_err();
     assert_eq!(err.code, ErrorCode::SerializationFailure, "{err:?}");
     assert_eq!(cell_i64(&c, "SELECT count(*) FROM t"), 0, "fenced write leaked past TRUNCATE");
-}
-
-/// KEPT NEGATIVE DEMONSTRATOR (pre-fix stale plan): with `mx_fencing` off,
-/// a conflicting CREATE INDEX interleaved into an open MX transaction is
-/// absorbed silently — the transaction commits against the plan it stamped
-/// before the metadata changed, with zero signal on any counter. This is
-/// the anomaly the generation fence turns into a retryable 40001.
-#[test]
-fn demonstrator_without_fencing_conflicting_ddl_commits_silently() {
-    let c = build(false, 2, false);
-    let mut mx = c.mx_session();
-    mx.execute("BEGIN").unwrap();
-    mx.execute("INSERT INTO t VALUES (600, 1)").unwrap();
-
-    let mut s = c.session().unwrap();
-    s.execute("CREATE INDEX t_v_idx3 ON t (v)").unwrap();
-
-    // pre-fix: no fence window exists, the stale transaction sails through
-    mx.execute("UPDATE t SET v = 2 WHERE k = 600").unwrap();
-    mx.execute("COMMIT").unwrap();
-    assert_eq!(aborts(&c), 0);
-    assert_eq!(escalations(&c), 0);
 }
 
 /// Zero steady-state overhead: a stream of MX transactions with no
@@ -344,7 +293,7 @@ fn demonstrator_without_fencing_conflicting_ddl_commits_silently() {
 /// generation stamp comparison is the only added work, and it never fires.
 #[test]
 fn fence_counters_stay_zero_without_concurrent_metadata_changes() {
-    let c = build(true, 2, false);
+    let c = build(2, false);
     let mut mx = c.mx_session();
     for k in 0..12 {
         mx.execute("BEGIN").unwrap();
@@ -365,7 +314,7 @@ fn fence_counters_stay_zero_without_concurrent_metadata_changes() {
 #[test]
 fn drill_traces_identical_at_1_and_8_threads() {
     let run = |threads: usize| {
-        let c = build(true, threads, true);
+        let c = build(threads, true);
         let mut mx = c.mx_session();
         mx.execute("BEGIN").unwrap();
         mx.execute("INSERT INTO t VALUES (100, 1)").unwrap();

@@ -1,9 +1,12 @@
 //! Differential oracle: random CRUD/aggregate workloads run through the
 //! distributed cluster AND through a plain single-node pgmini engine seeded
 //! with the same rows. Distribution must be invisible: result multisets and
-//! affected counts are identical — at 1 and 8 executor threads, and with a
+//! affected counts are identical — at 1 and 8 executor threads, with a
 //! seeded fault plan injecting read errors (absorbed by executor retries)
-//! and latency throughout.
+//! and latency throughout, and for BEGIN/COMMIT-grouped streams, where the
+//! executor's fast paths (exchange riding, local execution) do their work.
+//! The grouped streams must also cost the same virtual time and trace
+//! byte-identically at 1 and 8 threads (§3.6 determinism).
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use netsim::fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
@@ -18,10 +21,11 @@ use std::sync::Arc;
 const SEED_ROWS: i64 = 16;
 
 /// Distributed side: 2 workers, 8 shards, `t(k, v)` with the seed rows.
-fn dist_cluster(threads: usize) -> Arc<Cluster> {
+fn dist_cluster(threads: usize, tracing: bool) -> Arc<Cluster> {
     let mut cfg = ClusterConfig::default();
     cfg.shard_count = 8;
     cfg.executor_threads = threads;
+    cfg.tracing = tracing;
     let c = Cluster::new(cfg);
     for _ in 0..2 {
         c.add_worker().unwrap();
@@ -64,6 +68,26 @@ fn op_sql(op: &Op, index: usize) -> (String, bool /* ordered */, bool /* write *
         5 => ("SELECT v, count(*) FROM t GROUP BY v".to_string(), false, false),
         _ => ("SELECT k, v FROM t ORDER BY k LIMIT 5".to_string(), true, false),
     }
+}
+
+/// Statement stream with transaction grouping: ops are chunked in threes and
+/// chunk `i` is wrapped in BEGIN/COMMIT when bit `i` of `txn_mask` is set —
+/// multi-statement transactions are where exchange-riding coalescing lives.
+fn txn_stream(ops: &[Op], txn_mask: u32) -> Vec<(String, bool, bool)> {
+    let mut out = Vec::new();
+    for (chunk_idx, chunk) in ops.chunks(3).enumerate() {
+        let txn = chunk.len() > 1 && txn_mask & (1 << (chunk_idx % 32)) != 0;
+        if txn {
+            out.push(("BEGIN".to_string(), false, false));
+        }
+        for (j, op) in chunk.iter().enumerate() {
+            out.push(op_sql(op, chunk_idx * 3 + j));
+        }
+        if txn {
+            out.push(("COMMIT".to_string(), false, false));
+        }
+    }
+    out
 }
 
 /// Normalize a datum so `Int(5)` and `Float(5.0)` (e.g. a sum computed
@@ -114,8 +138,38 @@ fn dist_execute(
     Err(TestCaseError::fail(format!("`{sql}` still failing after 12 attempts: {last:?}")))
 }
 
+/// One statement's distributed and oracle results agree: affected counts
+/// for writes, row multisets (or sequences, when ordered) for reads.
+fn assert_same(
+    sql: &str,
+    ordered: bool,
+    write: bool,
+    dist: &QueryResult,
+    oracle: &QueryResult,
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    if write {
+        prop_assert_eq!(
+            dist.affected(),
+            oracle.affected(),
+            "affected counts diverge for `{}` (threads={})",
+            sql,
+            threads
+        );
+    } else {
+        prop_assert_eq!(
+            row_keys(dist, ordered),
+            row_keys(oracle, ordered),
+            "result sets diverge for `{}` (threads={})",
+            sql,
+            threads
+        );
+    }
+    Ok(())
+}
+
 fn run_case(threads: usize, seed: u64, ops: &[Op]) -> Result<(), TestCaseError> {
-    let c = dist_cluster(threads);
+    let c = dist_cluster(threads, false);
     let e = oracle_engine();
     // reads randomly error (executor absorbs them via retry/failover) and
     // every statement can pick up virtual latency — neither may change results
@@ -142,23 +196,7 @@ fn run_case(threads: usize, seed: u64, ops: &[Op]) -> Result<(), TestCaseError> 
         let oracle = os
             .execute(&sql)
             .map_err(|e| TestCaseError::fail(format!("oracle `{sql}` failed: {e:?}")))?;
-        if write {
-            prop_assert_eq!(
-                dist.affected(),
-                oracle.affected(),
-                "affected counts diverge for `{}` (threads={})",
-                sql,
-                threads
-            );
-        } else {
-            prop_assert_eq!(
-                row_keys(&dist, ordered),
-                row_keys(&oracle, ordered),
-                "result sets diverge for `{}` (threads={})",
-                sql,
-                threads
-            );
-        }
+        assert_same(&sql, ordered, write, &dist, &oracle, threads)?;
     }
     // final state check: full table contents agree
     let dist = dist_execute(&mut ds, "SELECT k, v FROM t", false)?;
@@ -180,5 +218,63 @@ proptest! {
         for threads in [1usize, 8] {
             run_case(threads, seed, &ops)?;
         }
+    }
+}
+
+/// Virtual time and trace fingerprint of one grouped-stream run.
+struct TracedRun {
+    elapsed_ms: f64,
+    fingerprint: u64,
+}
+
+/// Run a BEGIN/COMMIT-grouped stream on a traced cluster and on the oracle,
+/// statement by statement, then compare final table state.
+fn run_txn_stream(
+    threads: usize,
+    stmts: &[(String, bool, bool)],
+) -> Result<TracedRun, TestCaseError> {
+    let c = dist_cluster(threads, true);
+    let e = oracle_engine();
+    let mut ds = c.session().unwrap();
+    let mut os = e.session().unwrap();
+    let mut elapsed_ms = 0.0;
+    for (sql, ordered, write) in stmts {
+        let dist = ds.execute(sql).map_err(|e| {
+            TestCaseError::fail(format!("distributed `{sql}` failed (threads={threads}): {e:?}"))
+        })?;
+        let oracle = os
+            .execute(sql)
+            .map_err(|e| TestCaseError::fail(format!("oracle `{sql}` failed: {e:?}")))?;
+        if sql == "BEGIN" {
+            continue; // last_dist_cost is stale until a statement runs
+        }
+        elapsed_ms += ds.last_dist_cost().elapsed_ms;
+        if sql != "COMMIT" {
+            assert_same(sql, *ordered, *write, &dist, &oracle, threads)?;
+        }
+    }
+    let dist = ds.execute("SELECT k, v FROM t").unwrap();
+    let oracle = os.execute("SELECT k, v FROM t").unwrap();
+    prop_assert_eq!(row_keys(&dist, false), row_keys(&oracle, false), "final table state");
+    let renders: Vec<String> = c.tracer.statements().iter().map(|t| t.render()).collect();
+    Ok(TracedRun { elapsed_ms, fingerprint: citrus::trace::fingerprint_str(&renders.join("\n")) })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Transactions through the fast paths: grouped streams match the
+    /// oracle on every result and on final state at 1 and 8 executor
+    /// threads, and cost and trace identically at both.
+    #[test]
+    fn transaction_streams_match_oracle_at_any_thread_count(
+        ops in prop::collection::vec((0..7u8, 0..64i64, -50..50i64), 1..12),
+        txn_mask in any::<u32>(),
+    ) {
+        let stmts = txn_stream(&ops, txn_mask);
+        let one = run_txn_stream(1, &stmts)?;
+        let eight = run_txn_stream(8, &stmts)?;
+        prop_assert_eq!(one.elapsed_ms, eight.elapsed_ms, "virtual cost thread-invariant");
+        prop_assert_eq!(one.fingerprint, eight.fingerprint, "trace thread-invariant");
     }
 }

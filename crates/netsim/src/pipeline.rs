@@ -24,7 +24,7 @@
 //! clocks, so the executor stays in charge of when real wire time
 //! (`real_rtt_us`) is slept and the virtual clock stays deterministic. On a
 //! mid-batch fault the caller calls [`SessionPipeline::sync`] and replays
-//! per-statement — the fallback contract the differential suites pin.
+//! per-statement — the fallback contract `executor_pipeline.rs` pins.
 
 /// Wire-exchange plan for one statement's task fan-out: targets grouped by
 /// node in first-appearance order, one exchange per node.
@@ -71,10 +71,6 @@ pub fn plan_batches(targets: &[u32]) -> BatchPlan {
 pub struct SessionPipeline {
     /// Node id of the parked open exchange, if any.
     open: Option<u32>,
-    /// Wire exchanges opened (each one costs a round trip).
-    pub exchanges: u64,
-    /// Statements that rode an already-open exchange (no round trip).
-    pub coalesced: u64,
 }
 
 impl SessionPipeline {
@@ -87,25 +83,11 @@ impl SessionPipeline {
         self.open == Some(node)
     }
 
-    /// The node with an open exchange, if any.
-    pub fn open_node(&self) -> Option<u32> {
-        self.open
-    }
-
-    /// Account one successfully executed single-target statement to `node`.
-    /// Returns true when it rode the open exchange (no new round trip);
-    /// false when a new exchange was opened (one round trip charged by the
-    /// caller). Either way the exchange to `node` is left open for the next
-    /// statement.
-    pub fn note_statement(&mut self, node: u32) -> bool {
-        if self.open == Some(node) {
-            self.coalesced += 1;
-            true
-        } else {
-            self.open = Some(node);
-            self.exchanges += 1;
-            false
-        }
+    /// Account one successfully executed single-target statement to `node`:
+    /// the exchange to `node` is left open for the next statement (the
+    /// caller charged a round trip unless the statement [rode](Self::rides)).
+    pub fn note_statement(&mut self, node: u32) {
+        self.open = Some(node);
     }
 
     /// Sync point: close any open exchange. Called on transaction end, a
@@ -139,22 +121,21 @@ mod tests {
     #[test]
     fn consecutive_same_node_statements_ride_one_exchange() {
         let mut p = SessionPipeline::new();
-        assert!(!p.note_statement(1), "first statement opens the exchange");
-        assert!(p.rides(1));
-        assert!(p.note_statement(1));
-        assert!(p.note_statement(1));
-        assert_eq!(p.exchanges, 1);
-        assert_eq!(p.coalesced, 2);
+        assert!(!p.rides(1), "nothing is open before the first statement");
+        p.note_statement(1);
+        assert!(p.rides(1), "the first statement leaves its exchange open");
+        p.note_statement(1);
+        assert!(p.rides(1), "riding statements keep it open");
     }
 
     #[test]
     fn changing_target_opens_a_new_exchange() {
         let mut p = SessionPipeline::new();
-        assert!(!p.note_statement(1));
-        assert!(!p.note_statement(2), "different node: new exchange");
-        assert!(!p.note_statement(1), "switching back is another exchange");
-        assert_eq!(p.exchanges, 3);
-        assert_eq!(p.coalesced, 0);
+        p.note_statement(1);
+        assert!(!p.rides(2), "a different node needs its own exchange");
+        p.note_statement(2);
+        assert!(p.rides(2));
+        assert!(!p.rides(1), "switching nodes closed the first exchange");
     }
 
     #[test]
@@ -163,7 +144,5 @@ mod tests {
         p.note_statement(1);
         p.sync();
         assert!(!p.rides(1), "after a sync the next statement pays again");
-        assert!(!p.note_statement(1));
-        assert_eq!(p.exchanges, 2);
     }
 }

@@ -10,7 +10,10 @@
 #   5. parallel-executor equivalence + plan-cache suite, same reasoning
 #   6. observability suite: golden EXPLAIN/trace snapshots (including the
 #      executor_threads=1 vs =8 trace-fingerprint diff) + the differential
-#      oracle against single-node pgmini under an active fault plan
+#      oracle against single-node pgmini under an active fault plan, and the
+#      transaction wall: BEGIN/COMMIT-grouped streams through the executor
+#      fast paths (exchange riding, local execution) checked against the
+#      oracle with identical cost and trace at 1 and 8 threads
 #   7. vectorized-execution differential wall: batched columnar kernels vs
 #      the volcano path on identical clusters (results, error codes, fault
 #      fingerprints, and 1-vs-8-thread cost/trace invariance per mode)
@@ -22,9 +25,8 @@
 #      differential + MX frozen-window suite (mx_snapshot.rs), run
 #      explicitly so a partial filter can never skip the anomaly tests
 #  10. MX generation-fence escalation drills: concurrent DDL / frozen DDL /
-#      shard moves / failover interleaved into open MX transactions
-#      (mx_ddl_escalation.rs, with the pre-fix hang and silent-commit
-#      anomalies kept as negative demonstrators), plus the sim's
+#      shard moves / failover / a TRUNCATE behind an idle holder interleaved
+#      into open MX transactions (mx_ddl_escalation.rs), plus the sim's
 #      mx_ddl_interleave drill mode under the full chaos plan — run
 #      explicitly so a partial filter can never skip the fence wall
 #  11. workloads suite, run explicitly: seeded-chaos sim corpus (every seed
@@ -85,7 +87,7 @@ cargo test -q -p citrus --test faults
 echo "==> [5/17] parallel-executor equivalence suite"
 cargo test -q -p citrus --test executor_parallel
 
-echo "==> [6/17] trace-golden + differential-oracle suite (1 vs 8 threads)"
+echo "==> [6/17] trace-golden + differential-oracle + transaction wall (1 vs 8 threads)"
 cargo test -q -p citrus --test trace_golden --test oracle_differential
 
 echo "==> [7/17] vectorized-vs-volcano differential wall"
