@@ -224,9 +224,13 @@ fn resolve_expr(
             if rows.is_empty() {
                 Expr::Literal(Literal::Bool(*negated))
             } else {
+                // IN and NOT IN ignore repeats, so each value ships once
                 Expr::InList {
                     expr: Box::new(inner),
-                    list: rows.iter().map(|r| datum_expr(&r[0])).collect(),
+                    list: pgmini::types::distinct_values(rows.iter().map(|r| &r[0]))
+                        .into_iter()
+                        .map(datum_expr)
+                        .collect(),
                     negated: *negated,
                 }
             }

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// relation's full size (residency clamps to it), so projections that touch
 /// different column subsets must not share one key — each column's pages are
 /// a separate "relation" that warms and evicts on its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BufferKey {
     Table(u32),
     Index(u32),
@@ -36,8 +36,24 @@ struct Resident {
 #[derive(Debug, Default)]
 struct PoolState {
     resident: HashMap<BufferKey, Resident>,
+    /// Sum of `resident[..].pages`, kept in step with every change.
     total: u64,
     clock: u64,
+}
+
+impl PoolState {
+    /// Set `key`'s resident page count (after `f` updates its entry in
+    /// place), keeping `total` in step, then evict down to `cap`.
+    fn update(&mut self, key: BufferKey, cap: u64, f: impl FnOnce(&mut Resident, u64)) {
+        self.clock += 1;
+        let clock = self.clock;
+        let entry = self.resident.entry(key).or_default();
+        let before = entry.pages;
+        f(entry, clock);
+        let after = entry.pages;
+        self.total = self.total - before + after;
+        BufferPool::evict_to(self, cap);
+    }
 }
 
 /// Per-engine simulated buffer pool.
@@ -72,17 +88,13 @@ impl BufferPool {
             return 0;
         }
         let cap = *self.capacity.lock();
-        let mut s = self.state.lock();
-        s.clock += 1;
-        let clock = s.clock;
-        let entry = s.resident.entry(key).or_default();
-        let hits = entry.pages.min(rel_pages);
-        let misses = rel_pages - hits;
-        // the scan leaves as much of the relation resident as fits
-        entry.pages = rel_pages.min(cap);
-        entry.last_use = clock;
-        s.total = s.resident.values().map(|r| r.pages).sum();
-        Self::evict_to(&mut s, cap);
+        let mut misses = 0;
+        self.state.lock().update(key, cap, |entry, clock| {
+            misses = rel_pages - entry.pages.min(rel_pages);
+            // the scan leaves as much of the relation resident as fits
+            entry.pages = rel_pages.min(cap);
+            entry.last_use = clock;
+        });
         misses
     }
 
@@ -94,20 +106,17 @@ impl BufferPool {
             return 0;
         }
         let cap = *self.capacity.lock();
-        let mut s = self.state.lock();
-        s.clock += 1;
-        let clock = s.clock;
-        let entry = s.resident.entry(key).or_default();
-        entry.last_use = clock;
-        let resident_frac = (entry.pages as f64 / rel_pages as f64).min(1.0);
-        let expected_misses = touched as f64 * (1.0 - resident_frac);
-        entry.miss_carry += expected_misses;
-        let misses = entry.miss_carry.floor() as u64;
-        entry.miss_carry -= misses as f64;
-        // missed pages become resident
-        entry.pages = (entry.pages + misses).min(rel_pages).min(cap);
-        s.total = s.resident.values().map(|r| r.pages).sum();
-        Self::evict_to(&mut s, cap);
+        let mut misses = 0;
+        self.state.lock().update(key, cap, |entry, clock| {
+            entry.last_use = clock;
+            let resident_frac = (entry.pages as f64 / rel_pages as f64).min(1.0);
+            let expected_misses = touched as f64 * (1.0 - resident_frac);
+            entry.miss_carry += expected_misses;
+            misses = entry.miss_carry.floor() as u64;
+            entry.miss_carry -= misses as f64;
+            // missed pages become resident
+            entry.pages = (entry.pages + misses).min(rel_pages).min(cap);
+        });
         misses
     }
 
@@ -115,14 +124,10 @@ impl BufferPool {
     /// is charged to the background, as PostgreSQL's bgwriter does).
     pub fn write(&self, key: BufferKey, rel_pages: u64, pages: u64) {
         let cap = *self.capacity.lock();
-        let mut s = self.state.lock();
-        s.clock += 1;
-        let clock = s.clock;
-        let entry = s.resident.entry(key).or_default();
-        entry.pages = (entry.pages + pages).min(rel_pages.max(pages)).min(cap);
-        entry.last_use = clock;
-        s.total = s.resident.values().map(|r| r.pages).sum();
-        Self::evict_to(&mut s, cap);
+        self.state.lock().update(key, cap, |entry, clock| {
+            entry.pages = (entry.pages + pages).min(rel_pages.max(pages)).min(cap);
+            entry.last_use = clock;
+        });
     }
 
     /// Drop cached pages of a relation (table dropped/truncated).
@@ -159,9 +164,15 @@ impl BufferPool {
             r.pages = (r.pages as f64 * factor).round() as u64;
             total += r.pages;
         }
-        // rounding can overshoot by a few pages; trim from the largest
+        // rounding can overshoot by a few pages; trim from the largest,
+        // the lowest key among equals (not hash-map order, which differs
+        // between processes)
         while total > cap {
-            if let Some(r) = s.resident.values_mut().max_by_key(|r| r.pages) {
+            let victim = s
+                .resident
+                .iter_mut()
+                .max_by(|(ka, a), (kb, b)| a.pages.cmp(&b.pages).then(kb.cmp(ka)));
+            if let Some((_, r)) = victim {
                 let take = (total - cap).min(r.pages);
                 r.pages -= take;
                 total -= take;
@@ -288,6 +299,40 @@ mod tests {
         // the wide projection still hits fully afterwards
         let warm: u64 = wide.iter().map(|&(k, p)| pool.scan(k, p)).sum();
         assert_eq!(warm, 0, "narrow scan must not shrink other columns' residency");
+    }
+
+    #[test]
+    fn eviction_ties_break_by_key_in_every_pool() {
+        // three equal 50-page tables in 101 pages: the proportional shrink
+        // rounds each to 34 (102 > 101), so one page is trimmed from one of
+        // three equally large relations. Every fresh pool (each with its own
+        // hash-map order) must trim the same one: the lowest key.
+        let keys = [BufferKey::Table(3), BufferKey::Index(1), BufferKey::Table(1)];
+        let runs: Vec<Vec<u64>> = (0..8)
+            .map(|_| {
+                let pool = BufferPool::new(101);
+                for k in keys {
+                    pool.scan(k, 50);
+                }
+                assert_eq!(pool.total_resident(), 101);
+                keys.iter().map(|&k| pool.resident_pages(k)).collect()
+            })
+            .collect();
+        assert_eq!(runs[0], vec![34, 34, 33], "Table(1) sorts first and loses the page");
+        assert!(runs.iter().all(|r| *r == runs[0]), "pools disagree: {runs:?}");
+    }
+
+    #[test]
+    fn running_total_matches_resident_sum() {
+        let pool = BufferPool::new(120);
+        pool.scan(T1, 80);
+        pool.point_read(T2, 200, 30);
+        pool.write(BufferKey::Index(9), 40, 25);
+        pool.scan(T2, 90);
+        pool.forget(T1);
+        let s = pool.state.lock();
+        assert_eq!(s.total, s.resident.values().map(|r| r.pages).sum::<u64>());
+        assert!(s.total <= 120);
     }
 
     #[test]

@@ -587,7 +587,7 @@ pub fn plan_modify(
     let mut target = PlanNode::SeqScan { table: meta.id, filter: None, cols: None };
     if let (Some(f), PlanNode::SeqScan { filter, .. }) = (&flat, &mut target) {
         for c in split_conjuncts(f) {
-            let b = bind(&c, &scope, params)?;
+            let b = bind(c, &scope, params)?;
             *filter = Some(match filter.take() {
                 Some(prev) => BExpr::Binary {
                     op: sqlparse::ast::BinaryOp::And,

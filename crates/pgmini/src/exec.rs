@@ -16,8 +16,9 @@ use crate::lock::{LockKey, LockMode};
 use crate::plan::{AggCall, AggKind, IndexProbe, PlanNode, SelectPlan};
 use crate::storage::TableStore;
 use crate::txn::{Snapshot, Xid, INVALID_XID};
-use crate::types::{Datum, Row, SortKey};
+use crate::types::{hash_row, Datum, HashChains, Row, SortKey};
 use sqlparse::ast::JoinKind;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -140,6 +141,22 @@ fn columnar_scan_io(
     (pages, misses)
 }
 
+/// Copy of a heap tuple holding only the `cols` the query reads (every
+/// column when `None`); the others are NULL, as in a columnar scan's
+/// `ColumnBatch::take_rows`.
+fn project(data: &Row, cols: Option<&[usize]>) -> Row {
+    match cols {
+        None => data.clone(),
+        Some(cols) => {
+            let mut row = vec![Datum::Null; data.len()];
+            for &c in cols {
+                row[c] = data[c].clone();
+            }
+            row
+        }
+    }
+}
+
 /// Scan a table, returning `(row_id, row)` pairs that pass `filter`.
 /// This is the shared primitive behind SELECT scans, UPDATE/DELETE target
 /// collection, and FOR UPDATE. `cols` is the planner's referenced-column set
@@ -169,7 +186,7 @@ pub fn scan_with_rowids(
                     }
                     scanned += 1;
                     match passes(filter, &t.data, &ctx.eval_ctx) {
-                        Ok(true) => out.push((t.row_id, t.data.clone())),
+                        Ok(true) => out.push((t.row_id, project(&t.data, cols))),
                         Ok(false) => {}
                         Err(e) => err = Some(e),
                     }
@@ -382,17 +399,111 @@ pub fn run_plan_node(ctx: &mut ExecCtx, node: &PlanNode) -> PgResult<Vec<Row>> {
             Ok(out)
         }
         PlanNode::Join { left, right, kind, hash_keys, on, left_arity, right_arity } => {
-            let lrows = run_plan_node(ctx, left)?;
+            let probe = match (&**left, hash_keys) {
+                // an unconditioned cross product on a hash join's probe side
+                // is probed pair by pair, not materialized; it is charged
+                // what its nested loop would have cost
+                (
+                    PlanNode::Join {
+                        left: outer,
+                        right: inner,
+                        kind: JoinKind::Cross,
+                        hash_keys: None,
+                        on: None,
+                        ..
+                    },
+                    Some(_),
+                ) => {
+                    let outer = run_plan_node(ctx, outer)?;
+                    let inner = run_plan_node(ctx, inner)?;
+                    ctx.cost
+                        .add_tuples(&ctx.model(), (outer.len() * inner.len().max(1)) as u64);
+                    Probe { outer, inner }
+                }
+                _ => Probe::rows(run_plan_node(ctx, left)?),
+            };
             let rrows = run_plan_node(ctx, right)?;
-            join_rows(ctx, lrows, rrows, *kind, hash_keys, on, *left_arity, *right_arity)
+            join_rows(ctx, probe, rrows, *kind, hash_keys, on, *left_arity, *right_arity)
         }
     }
 }
 
+/// The left input of a join: the rows `outer × inner`, each the
+/// concatenation of an outer and an inner row. A materialized input is its
+/// rows with one empty inner row; a cross product stays two inputs, so only
+/// the pairs that join are ever assembled into rows.
+struct Probe {
+    outer: Vec<Row>,
+    inner: Vec<Row>,
+}
+
+impl Probe {
+    fn rows(rows: Vec<Row>) -> Probe {
+        Probe { outer: rows, inner: vec![Vec::new()] }
+    }
+
+    fn len(&self) -> usize {
+        self.outer.len() * self.inner.len()
+    }
+
+    /// The `(outer, inner)` halves of each row, outer-major.
+    fn pairs(&self) -> impl Iterator<Item = (&Row, &Row)> {
+        self.outer.iter().flat_map(move |o| self.inner.iter().map(move |i| (o, i)))
+    }
+}
+
+/// A join key's values for the row `head ++ tail`: column references
+/// borrow from the row, other key expressions are evaluated (on the
+/// assembled row in `scratch` when `tail` is not empty). Writes into `out`
+/// so a probe loop reuses one buffer.
+fn eval_key<'r>(
+    keys: &[BExpr],
+    (head, tail): (&'r Row, &'r Row),
+    ctx: &EvalCtx,
+    scratch: &mut Row,
+    out: &mut Vec<Cow<'r, Datum>>,
+) -> PgResult<()> {
+    out.clear();
+    for k in keys {
+        out.push(match k {
+            BExpr::Col(i) => Cow::Borrowed(
+                head.get(*i)
+                    .or_else(|| tail.get(*i - head.len()))
+                    .ok_or_else(|| PgError::internal(format!("column index {i} out of range")))?,
+            ),
+            k if tail.is_empty() => Cow::Owned(eval(k, head, ctx)?),
+            k => {
+                fill_combined(scratch, &[head, tail]);
+                Cow::Owned(eval(k, scratch, ctx)?)
+            }
+        });
+    }
+    Ok(())
+}
+
+/// `SortKey` equality of two keys of the same width.
+fn keys_equal(a: &[Cow<Datum>], b: &[Cow<Datum>]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.total_cmp(y).is_eq())
+}
+
+/// Concatenate `parts` into `buf` (cleared first).
+fn fill_combined(buf: &mut Row, parts: &[&[Datum]]) {
+    buf.clear();
+    for p in parts {
+        buf.extend_from_slice(p);
+    }
+}
+
+/// Join the left input `probe` with the materialized `rrows`. With equi-join
+/// keys this is a hash join that builds on the right input: build rows are
+/// chained per key hash in input order, so the output lists left rows in
+/// order and, for each, its matches in right-input order — the order an
+/// ordered map of keys yields. Key equality is `SortKey` equality; NULL keys
+/// never join.
 #[allow(clippy::too_many_arguments)]
 fn join_rows(
     ctx: &mut ExecCtx,
-    lrows: Vec<Row>,
+    probe: Probe,
     rrows: Vec<Row>,
     kind: JoinKind,
     hash_keys: &Option<(Vec<BExpr>, Vec<BExpr>)>,
@@ -402,39 +513,47 @@ fn join_rows(
 ) -> PgResult<Vec<Row>> {
     let model = ctx.model();
     let mut out = Vec::new();
+    // a combined row is assembled here and moved out only when it passes
+    // `on`, so rejected pairs reuse the allocation
+    let arity = left_arity + right_arity;
+    let mut buf: Row = Vec::with_capacity(arity);
+    let no_tail = Row::new();
     match hash_keys {
         Some((lkeys, rkeys)) => {
-            // build on the right side
-            let mut table: BTreeMap<SortKey, Vec<usize>> = BTreeMap::new();
+            let nkeys = rkeys.len();
+            let mut bkeys: Vec<Cow<Datum>> = Vec::with_capacity(rrows.len() * nkeys);
+            let mut key = Vec::with_capacity(nkeys);
+            let mut table = HashChains::with_capacity(rrows.len());
             for (i, r) in rrows.iter().enumerate() {
-                let key: Vec<Datum> =
-                    rkeys.iter().map(|k| eval(k, r, &ctx.eval_ctx)).collect::<PgResult<_>>()?;
-                if key.iter().any(Datum::is_null) {
-                    continue; // NULL keys never join
+                eval_key(rkeys, (r, &no_tail), &ctx.eval_ctx, &mut buf, &mut key)?;
+                if !key.iter().any(|d| d.is_null()) {
+                    table.push(hash_row(key.iter().map(|d| &**d)), i);
                 }
-                table.entry(SortKey(key)).or_default().push(i);
+                // NULL-key rows keep their slot so key `i` sits at `i * nkeys`
+                bkeys.append(&mut key);
             }
             ctx.cost.add_tuples(&model, rrows.len() as u64);
             let mut right_matched = vec![false; rrows.len()];
-            for l in &lrows {
-                let key: Vec<Datum> =
-                    lkeys.iter().map(|k| eval(k, l, &ctx.eval_ctx)).collect::<PgResult<_>>()?;
+            let mut key = Vec::with_capacity(lkeys.len());
+            for (head, tail) in probe.pairs() {
+                eval_key(lkeys, (head, tail), &ctx.eval_ctx, &mut buf, &mut key)?;
                 let mut matched = false;
-                if !key.iter().any(Datum::is_null) {
-                    if let Some(bucket) = table.get(&SortKey(key)) {
-                        for &ri in bucket {
-                            let mut combined = l.clone();
-                            combined.extend(rrows[ri].iter().cloned());
-                            if passes(on, &combined, &ctx.eval_ctx)? {
-                                right_matched[ri] = true;
-                                matched = true;
-                                out.push(combined);
-                            }
+                if !key.iter().any(|d| d.is_null()) {
+                    for ri in table.chain(hash_row(key.iter().map(|d| &**d))) {
+                        if !keys_equal(&key, &bkeys[ri * nkeys..(ri + 1) * nkeys]) {
+                            continue;
+                        }
+                        fill_combined(&mut buf, &[head, tail, &rrows[ri]]);
+                        if passes(on, &buf, &ctx.eval_ctx)? {
+                            right_matched[ri] = true;
+                            matched = true;
+                            out.push(std::mem::replace(&mut buf, Vec::with_capacity(arity)));
                         }
                     }
                 }
                 if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-                    let mut combined = l.clone();
+                    let mut combined = Vec::with_capacity(arity);
+                    fill_combined(&mut combined, &[head, tail]);
                     combined.extend(std::iter::repeat_n(Datum::Null, right_arity));
                     out.push(combined);
                 }
@@ -442,14 +561,14 @@ fn join_rows(
             if matches!(kind, JoinKind::Right | JoinKind::Full) {
                 for (ri, m) in right_matched.iter().enumerate() {
                     if !m {
-                        let mut combined: Row =
-                            std::iter::repeat_n(Datum::Null, left_arity).collect();
-                        combined.extend(rrows[ri].iter().cloned());
+                        let mut combined = Vec::with_capacity(arity);
+                        combined.extend(std::iter::repeat_n(Datum::Null, left_arity));
+                        combined.extend_from_slice(&rrows[ri]);
                         out.push(combined);
                     }
                 }
             }
-            ctx.cost.add_tuples(&model, lrows.len() as u64 + out.len() as u64);
+            ctx.cost.add_tuples(&model, probe.len() as u64 + out.len() as u64);
         }
         None => {
             if matches!(kind, JoinKind::Right | JoinKind::Full) {
@@ -457,24 +576,24 @@ fn join_rows(
                     "RIGHT/FULL join without an equality condition",
                 ));
             }
-            for l in &lrows {
+            for (head, tail) in probe.pairs() {
                 let mut matched = false;
                 for r in &rrows {
-                    let mut combined = l.clone();
-                    combined.extend(r.iter().cloned());
-                    if passes(on, &combined, &ctx.eval_ctx)? {
+                    fill_combined(&mut buf, &[head, tail, r]);
+                    if passes(on, &buf, &ctx.eval_ctx)? {
                         matched = true;
-                        out.push(combined);
+                        out.push(std::mem::replace(&mut buf, Vec::with_capacity(arity)));
                     }
                 }
                 if !matched && kind == JoinKind::Left {
-                    let mut combined = l.clone();
+                    let mut combined = Vec::with_capacity(arity);
+                    fill_combined(&mut combined, &[head, tail]);
                     combined.extend(std::iter::repeat_n(Datum::Null, right_arity));
                     out.push(combined);
                 }
             }
             ctx.cost
-                .add_tuples(&model, (lrows.len() * rrows.len().max(1)) as u64);
+                .add_tuples(&model, (probe.len() * rrows.len().max(1)) as u64);
         }
     }
     Ok(out)

@@ -166,7 +166,7 @@ pub enum BExpr {
     InList { expr: Box<BExpr>, list: Vec<BExpr>, negated: bool },
     /// Large constant IN-lists compile to a set probe (subplan results can
     /// contain thousands of values; linear scans would dominate runtime).
-    InSet { expr: Box<BExpr>, set: std::sync::Arc<std::collections::BTreeSet<crate::types::SortKey>>, has_null: bool, negated: bool },
+    InSet { expr: Box<BExpr>, set: std::sync::Arc<crate::types::DatumSet>, has_null: bool, negated: bool },
     IsNull { expr: Box<BExpr>, negated: bool },
     Case {
         operand: Option<Box<BExpr>>,
@@ -287,32 +287,26 @@ pub fn bind(expr: &Expr, scope: &RowScope, params: &[Datum]) -> PgResult<BExpr> 
             negated: *negated,
         },
         Expr::InList { expr, list, negated } => {
-            let bound: Vec<BExpr> =
-                list.iter().map(|e| bind(e, scope, params)).collect::<PgResult<_>>()?;
-            if bound.len() > sqlparse::shape::MAX_SLOT_IN_LIST && bound.iter().all(BExpr::is_const)
-            {
-                let ctx = EvalCtx::with_params(params);
-                let mut set = std::collections::BTreeSet::new();
-                let mut has_null = false;
-                for b in &bound {
-                    let v = eval(b, &vec![], &ctx)?;
-                    if v.is_null() {
-                        has_null = true;
-                    } else {
-                        set.insert(crate::types::SortKey(vec![v]));
-                    }
-                }
-                BExpr::InSet {
+            let set = if list.len() > sqlparse::shape::MAX_SLOT_IN_LIST {
+                const_in_set(list, scope, params)?
+            } else {
+                None
+            };
+            match set {
+                Some((set, has_null)) => BExpr::InSet {
                     expr: Box::new(bind(expr, scope, params)?),
                     set: std::sync::Arc::new(set),
                     has_null,
                     negated: *negated,
-                }
-            } else {
-                BExpr::InList {
-                    expr: Box::new(bind(expr, scope, params)?),
-                    list: bound,
-                    negated: *negated,
+                },
+                None => {
+                    let list =
+                        list.iter().map(|e| bind(e, scope, params)).collect::<PgResult<_>>()?;
+                    BExpr::InList {
+                        expr: Box::new(bind(expr, scope, params)?),
+                        list,
+                        negated: *negated,
+                    }
                 }
             }
         }
@@ -364,6 +358,37 @@ pub fn literal_datum(l: &Literal) -> Datum {
         Literal::Float(v) => Datum::Float(*v),
         Literal::String(s) => Datum::Text(s.clone()),
     }
+}
+
+/// The values of a constant IN-list as a set (plus whether it holds a NULL),
+/// or `None` when an item references a column. Literal items go straight
+/// into the set, with no bound expression per item.
+fn const_in_set(
+    list: &[Expr],
+    scope: &RowScope,
+    params: &[Datum],
+) -> PgResult<Option<(crate::types::DatumSet, bool)>> {
+    let ctx = EvalCtx::with_params(params);
+    let mut set = crate::types::DatumSet::with_capacity(list.len());
+    let mut has_null = false;
+    for e in list {
+        let v = match e {
+            Expr::Literal(l) => literal_datum(l),
+            e => {
+                let b = bind(e, scope, params)?;
+                if !b.is_const() {
+                    return Ok(None);
+                }
+                eval(&b, &vec![], &ctx)?
+            }
+        };
+        if v.is_null() {
+            has_null = true;
+        } else {
+            set.insert(v);
+        }
+    }
+    Ok(Some((set, has_null)))
 }
 
 /// Evaluate a bound expression against one row.
@@ -423,7 +448,7 @@ pub fn eval(e: &BExpr, row: &Row, ctx: &EvalCtx) -> PgResult<Datum> {
             if v.is_null() {
                 return Ok(Datum::Null);
             }
-            let hit = set.contains(&crate::types::SortKey(vec![v]));
+            let hit = set.contains(&v);
             if hit {
                 Ok(Datum::Bool(!*negated))
             } else if *has_null {

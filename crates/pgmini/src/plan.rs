@@ -15,6 +15,7 @@ use crate::catalog::{IndexId, IndexMethod, TableId, TableMeta};
 use crate::error::{ErrorCode, PgError, PgResult};
 use crate::expr::{bind, BExpr, ColumnRef, RowScope};
 use crate::types::Datum;
+use std::borrow::Cow;
 use sqlparse::ast::{
     BinaryOp, Expr, FuncCall, JoinKind, Literal, Select, SelectItem, TableRef,
 };
@@ -225,12 +226,18 @@ pub fn plan_select(
 
     // 2. WHERE: flatten subqueries, split conjuncts, push down to scans
     if let Some(where_clause) = &sel.where_clause {
-        let flat = flatten_subqueries(where_clause, subq, &scope)?;
+        // a WHERE without subqueries is used as it is, uncopied: it can
+        // carry a subplan's IN-list of thousands of literals
+        let flat = if where_clause.contains_subquery() {
+            Cow::Owned(flatten_subqueries(where_clause, subq, &scope)?)
+        } else {
+            Cow::Borrowed(where_clause)
+        };
         let conjuncts = split_conjuncts(&flat);
         let mut residual: Vec<Expr> = Vec::new();
         for c in conjuncts {
-            if !push_conjunct(&mut node, &scope, &c, params)? {
-                residual.push(c);
+            if !push_conjunct(&mut node, &scope, c, params)? {
+                residual.push(c.clone());
             }
         }
         if let Some(pred) = conjoin(residual) {
@@ -869,14 +876,14 @@ fn datum_to_literal_expr(d: &Datum) -> Expr {
 }
 
 /// Split an expression into top-level AND conjuncts.
-pub fn split_conjuncts(e: &Expr) -> Vec<Expr> {
+pub fn split_conjuncts(e: &Expr) -> Vec<&Expr> {
     match e {
         Expr::Binary { left, op: BinaryOp::And, right } => {
             let mut v = split_conjuncts(left);
             v.extend(split_conjuncts(right));
             v
         }
-        other => vec![other.clone()],
+        other => vec![other],
     }
 }
 
@@ -1130,12 +1137,12 @@ fn plan_table_ref(
                 let mut residual = Vec::new();
                 for c in conjuncts {
                     let pushed = if matches!(kind, JoinKind::Inner) {
-                        push_conjunct(&mut node, &scope, &c, params)?
+                        push_conjunct(&mut node, &scope, c, params)?
                     } else {
-                        try_outer_join_keys(&mut node, &scope, &c, params)?
+                        try_outer_join_keys(&mut node, &scope, c, params)?
                     };
                     if !pushed {
-                        residual.push(c);
+                        residual.push(c.clone());
                     }
                 }
                 if let Some(resid) = conjoin(residual) {

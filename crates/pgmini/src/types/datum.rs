@@ -1,5 +1,6 @@
-//! Runtime values (`Datum`), rows, and the hash function used for both hash
-//! joins and — crucially — hash partitioning of distributed tables.
+//! Runtime values (`Datum`), rows, and their two hash functions: `hash64`,
+//! the hash partitioning of distributed tables, and `key_hash`, the hash the
+//! executor's hash tables (joins, IN-sets) key on.
 
 use super::json::Json;
 use super::time;
@@ -224,10 +225,13 @@ impl Datum {
         }
     }
 
-    /// 64-bit hash used for hash joins, DISTINCT, GROUP BY, and — most
-    /// importantly — hash partitioning of distributed tables. Int and Float
-    /// of equal value hash identically, mirroring how co-location requires
-    /// hash compatibility within a distribution-column type class.
+    /// 64-bit hash behind the hash partitioning of distributed tables: the
+    /// distribution hash of shard routing and co-location
+    /// (`citrus::metadata::dist_hash`, which also buckets rollup groups).
+    /// Int and Float of equal value hash identically, mirroring how
+    /// co-location requires hash compatibility within a distribution-column
+    /// type class. Changing it moves rows between shards; executor hash
+    /// tables use [`Datum::key_hash`] instead.
     pub fn hash64(&self) -> u64 {
         match self {
             Datum::Null => 0,
@@ -250,6 +254,55 @@ impl Datum {
             }
         }
     }
+
+    /// 64-bit hash consistent with [`Datum::total_cmp`] equality: two datums
+    /// that compare equal hash equal, across types too. Int and Float hash
+    /// their `f64` value (`1` joins `1.0`), and a Text that parses as a
+    /// timestamp hashes like that Timestamp (`'2020-06-01'` joins the
+    /// timestamp). Hash joins, constant IN-sets and IN-list deduplication
+    /// key on it. NaN is the one exception: `total_cmp` calls it equal to
+    /// every Float, which no hash can follow.
+    pub fn key_hash(&self) -> u64 {
+        match self {
+            Datum::Null => 0x5555_5555_5555_5555,
+            Datum::Bool(b) => splitmix64(2 + *b as u64),
+            Datum::Int(v) => hash_f64(*v as f64),
+            Datum::Float(v) => hash_f64(*v),
+            Datum::Timestamp(t) => hash_timestamp(*t),
+            Datum::Text(s) => match time::parse_timestamp(s) {
+                Some(t) => hash_timestamp(t),
+                None => hash_bytes(s.as_bytes()),
+            },
+            Datum::Json(j) => hash_json(j),
+        }
+    }
+}
+
+/// Hash of a numeric value by its `f64` (`-0.0` hashes like `0.0`, which it
+/// equals).
+fn hash_f64(v: f64) -> u64 {
+    let v = if v == 0.0 { 0.0 } else { v };
+    splitmix64(v.to_bits() ^ 0x9E37_79B9_7F4A_7C15)
+}
+
+fn hash_timestamp(t: i64) -> u64 {
+    splitmix64(t as u64 ^ 0x2545_F491_4F6C_DD1D)
+}
+
+/// Structural JSON hash in field order, as `Json`'s equality compares.
+fn hash_json(j: &Json) -> u64 {
+    match j {
+        Json::Null => 1,
+        Json::Bool(b) => splitmix64(4 + *b as u64),
+        Json::Number(n) => hash_f64(*n),
+        Json::String(s) => hash_bytes(s.as_bytes()),
+        Json::Array(items) => {
+            items.iter().fold(0x4A53_4F4E_4152_5259, |h, i| splitmix64(h ^ hash_json(i)))
+        }
+        Json::Object(fields) => fields.iter().fold(0x4A53_4F4E_4F42_4A45, |h, (k, v)| {
+            splitmix64(splitmix64(h ^ hash_bytes(k.as_bytes())) ^ hash_json(v))
+        }),
+    }
 }
 
 /// Finaliser from the splitmix64 generator; good avalanche, deterministic.
@@ -270,11 +323,12 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     splitmix64(h)
 }
 
-/// Hash a multi-column key.
-pub fn hash_row(values: &[Datum]) -> u64 {
+/// Hash a multi-column key consistently with [`SortKey`] equality (the
+/// per-column [`Datum::key_hash`], combined in column order).
+pub fn hash_row<'a>(values: impl IntoIterator<Item = &'a Datum>) -> u64 {
     let mut h = 0xA076_1D64_78BD_642F_u64;
     for v in values {
-        h = splitmix64(h ^ v.hash64());
+        h = splitmix64(h ^ v.key_hash());
     }
     h
 }

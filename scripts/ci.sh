@@ -14,9 +14,12 @@
 #      transaction wall: BEGIN/COMMIT-grouped streams through the executor
 #      fast paths (exchange riding, local execution) checked against the
 #      oracle with identical cost and trace at 1 and 8 threads
-#   7. vectorized-execution differential wall: batched columnar kernels vs
-#      the volcano path on identical clusters (results, error codes, fault
-#      fingerprints, and 1-vs-8-thread cost/trace invariance per mode)
+#   7. operator differential wall: batched columnar kernels vs the volcano
+#      path on identical clusters (results, error codes, fault fingerprints,
+#      and 1-vs-8-thread cost/trace invariance per mode); hash joins of every
+#      kind vs a nested-loop reference, column-pruned heap scans, IN-sets and
+#      per-statement simulated cost (pgmini operator_differential.rs); and
+#      IN / NOT IN subplan lists through the cluster (subplan_in_lists.rs)
 #   8. rebalancer crash-safety drills: a move killed at every phase boundary
 #      (error and crash+promote), move-journal recovery, and the
 #      concurrent-writes-during-faulted-move oracle proptest
@@ -90,8 +93,9 @@ cargo test -q -p citrus --test executor_parallel
 echo "==> [6/17] trace-golden + differential-oracle + transaction wall (1 vs 8 threads)"
 cargo test -q -p citrus --test trace_golden --test oracle_differential
 
-echo "==> [7/17] vectorized-vs-volcano differential wall"
-cargo test -q -p citrus --test executor_vectorized
+echo "==> [7/17] operator differential wall (vectorized-vs-volcano, joins/scans/IN-lists vs references)"
+cargo test -q -p citrus --test executor_vectorized --test subplan_in_lists
+cargo test -q -p pgmini --test operator_differential
 
 echo "==> [8/17] rebalancer crash-safety drill suite"
 cargo test -q -p citrus --test rebalance_faults
